@@ -5,12 +5,15 @@ where f_s is a product of affine-linear factors chaining consecutive
 variables.  Counting points reduces to the character sum
 T = sum over x of chi(f_s(x)) with chi the quadratic character
 (chi(0) = 0); a naive full enumeration serves as the oracle for a fast
-transfer path that convolves one variable at a time.
+transfer path that convolves one variable at a time.  The transfer runs
+each convolution in the Fourier domain of (F_{p^k}, +) = (Z/p)^k, exactly
+modulo several primes, and recovers T by the Chinese remainder theorem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 import numpy as np
 
@@ -19,8 +22,7 @@ from .rings import QQ, ExtField, PrimeField, ext_field, is_prime
 
 DEFAULT_NAIVE_BUDGET = 10 ** 9
 DEFAULT_SERIES_NAIVE_BUDGET = 10 ** 7
-TRANSFER_SIZE_BOUND = 4 * 10 ** 8  # entries of the difference-kernel matrix
-_INT64_GUARD = 2 ** 61
+TRANSFER_BYTE_BOUND = 2 ** 29  # bytes of the transfer's largest array
 
 
 # ---------------------------------------------------------------------------
@@ -128,62 +130,48 @@ def _decode(field_, i: int):
     return field_.decode(i) if isinstance(field_, ExtField) else i
 
 
-_TABLE_CACHE = {}
+def _degree(field_) -> int:
+    return field_.k if isinstance(field_, ExtField) else 1
 
 
-def _field_tables(field_):
-    """(chi table, digit matrix, power-of-p weights) for integer encodings."""
-    key = field_
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
-    n = field_.size
-    p = field_.char
-    k = field_.k if isinstance(field_, ExtField) else 1
-    chi = np.zeros(n, dtype=np.int8)
-    for i in range(n):
-        chi[i] = quad_char(field_, _decode(field_, i))
-    idx = np.arange(n, dtype=np.int64)
-    digits = np.zeros((n, k), dtype=np.int64)
-    t = idx.copy()
-    for d in range(k):
-        digits[:, d] = t % p
-        t //= p
-    weights = p ** np.arange(k, dtype=np.int64)
-    _TABLE_CACHE[key] = (chi, digits, weights)
-    return _TABLE_CACHE[key]
+def _digits(codes, p, k):
+    """Base-p digit vectors (constant coefficient first) of encoded elements."""
+    return np.asarray(codes, dtype=np.int64)[:, None] // p ** np.arange(k) % p
 
 
-def _diff_index_matrix(field_):
-    """Matrix of encodings of b - a, row index b, column index a."""
-    n = field_.size
-    p = field_.char
-    _, digits, weights = _field_tables(field_)
-    idx = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        idx[:, a] = ((digits - digits[a]) % p) @ weights
-    return idx
+def _chi_table(field_):
+    """Quadratic character of every encoded element, from the squaring map.
+
+    All elements are squared at once as digit polynomials and reduced by
+    the field modulus; the image is +1, every other element -1, and
+    chi(0) = 0.
+    """
+    p, k = field_.char, _degree(field_)
+    n = p ** k
+    digits = _digits(np.arange(n), p, k)
+    square = np.zeros((n, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        square[:, i:i + k] += digits[:, i:i + 1] * digits
+    # row m: digits of T^m reduced by the modulus, m = 0 .. 2k - 2
+    t = _decode(field_, p)
+    powers = [field_.one]
+    for _ in range(2 * k - 2):
+        powers.append(field_.mul(powers[-1], t))
+    reduce_ = _digits([_encode(field_, x) for x in powers], p, k)
+    squares = (square @ reduce_ % p) @ p ** np.arange(k)
+    chi = np.full(n, -1, dtype=np.int64)
+    chi[squares] = 1
+    chi[0] = 0
+    return chi
 
 
-def _chi_diff_matrix(field_, chi):
-    """Matrix m[b, a] = chi(b - a) over integer-encoded elements."""
-    return chi[_diff_index_matrix(field_)].astype(np.int64)
-
-
-def _unary_tables(field_, s):
-    """chi(x), chi(x-1), chi(s-x), chi(x-s) as encoded-index vectors."""
-    n = field_.size
-    chi, _, _ = _field_tables(field_)
-    chi_x = chi.astype(np.int64)
-    chi_xm1 = np.zeros(n, dtype=np.int64)
-    chi_smx = np.zeros(n, dtype=np.int64)
-    one = field_.one
-    for i in range(n):
-        x = _decode(field_, i)
-        chi_xm1[i] = chi[_encode(field_, field_.sub(x, one))]
-        chi_smx[i] = chi[_encode(field_, field_.sub(s, x))]
-    chi_xms = chi_smx.copy() if (field_.size - 1) % 4 == 0 else -chi_smx
-    # chi(x - s) = chi(-1) * chi(s - x); chi(-1) = 1 iff size = 1 mod 4
-    return chi_x, chi_xm1, chi_smx, chi_xms
+def _check_transfer_size(p, k):
+    """TooLarge unless the squaring map's (p^k, 2k - 1) products and the
+    p x p transform, the transfer's largest arrays, fit the byte bound."""
+    need = 8 * max(p ** k * (2 * k - 1), p * p)
+    if need > TRANSFER_BYTE_BOUND:
+        raise TooLarge(f"the transfer over F_{p}^{k} needs {need} bytes, "
+                       f"over the bound {TRANSFER_BYTE_BOUND}")
 
 
 def _check_s(field_, s):
@@ -203,60 +191,88 @@ def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
     the double cover has N_nonzero + T_chi points (chi = +1 contributes
     two square roots, chi = -1 none).  With ``trivial_character`` the
     engine sums the indicator of nonvanishing instead, which must equal
-    N_nonzero (self-test hook).
+    N_nonzero (self-test hook).  The character table comes from
+    quad_char, independently of the transfer path.
     """
     _check_s(field_, s)
     n = field_.size
     if n ** 6 > budget:
         raise TooLarge(f"{n}^6 points exceed the budget {budget}")
     factors = fiber_factors(s, ring=field_, variant=variant)
-    chi, _, _ = _field_tables(field_)
-    if trivial_character:
-        chi = (np.arange(n) != 0).astype(np.int8)
-    p = field_.char
     # encoded-arithmetic tables (fields here are tiny: n^6 <= budget)
     elems = [_decode(field_, i) for i in range(n)]
+    chi = ((np.arange(n) != 0) if trivial_character
+           else [quad_char(field_, x) for x in elems])
+    chi = np.array(chi, dtype=np.int64)
     mul_t = np.array([[_encode(field_, field_.mul(a, b)) for b in elems]
                       for a in elems], dtype=np.int64)
     add_t = np.array([[_encode(field_, field_.add(a, b)) for b in elems]
                       for a in elems], dtype=np.int64)
-    scal_t = {}  # encoded scalar -> mapping array x -> scalar * x
-
-    def scal(c_enc):
-        if c_enc not in scal_t:
-            scal_t[c_enc] = mul_t[c_enc]
-        return scal_t[c_enc]
-
     # inner grid over x3..x6, outer python loop over (x1, x2)
-    inner = np.arange(n, dtype=np.int64)
-    g3 = np.repeat(inner, n ** 3)
-    g4 = np.tile(np.repeat(inner, n ** 2), n)
-    g5 = np.tile(np.repeat(inner, n), n ** 2)
-    g6 = np.tile(inner, n ** 3)
-    grids = {3: g3, 4: g4, 5: g5, 6: g6}
-    n_nonzero = 0
-    t_chi = 0
+    grids = dict(zip((3, 4, 5, 6), np.indices((n,) * 4).reshape(4, -1)))
+    n_nonzero = t_chi = 0
     s_enc = _encode(field_, s)
     for x1 in range(n):
         for x2 in range(n):
-            outer = {1: x1, 2: x2}
+            grids[1], grids[2] = x1, x2
             acc = np.full(n ** 4, s_enc, dtype=np.int64)
             for f in factors.factors:
                 c_enc = _encode(field_, f.constant)
                 val = None
                 for i, c in f.coeffs:
-                    term_src = grids[i] if i in grids else outer[i]
-                    term = scal(_encode(field_, c))[term_src]
+                    term = mul_t[_encode(field_, c)][grids[i]]
                     val = term if val is None else add_t[val, term]
                 if c_enc:
                     val = add_t[val, c_enc] if val is not None else c_enc
-                if np.isscalar(val) or val.ndim == 0:
-                    acc = mul_t[acc, int(val)]
-                else:
-                    acc = mul_t[acc, val]
+                acc = mul_t[acc, val]
             n_nonzero += int(np.count_nonzero(acc))
             t_chi += int(chi[acc].sum(dtype=np.int64))
     return n_nonzero, t_chi
+
+
+def _ntt_primes(p: int, bound: int):
+    """Primes P = 1 (mod p), largest first, whose product exceeds bound,
+    each with a primitive p-th root of unity omega mod P.
+
+    p (P - 1)^2 < 2^63, so a p-term sum of reduced products fits in int64
+    (for p < 128 that holds for every P < 2^28).
+    """
+    top = min(2 ** 28, isqrt((2 ** 63 - 1) // p))
+    primes = []
+    product = 1
+    for P in range(top - 1 - (top - 2) % (2 * p), 1, -2 * p):
+        if product > bound:
+            return primes
+        if is_prime(P):
+            omega = next(w for w in (pow(g, (P - 1) // p, P)
+                                     for g in range(2, P)) if w != 1)
+            primes.append((P, omega))
+            product *= P
+    raise TooLarge(f"too few primes P = 1 (mod {p}) below {top}")
+
+
+def _transfer_residue(P, omega, p, k, chi, first, locals_):
+    """The transfer chain modulo P, every convolution in the Fourier domain.
+
+    The length-p DFT along each of the k digit axes of (F_{p^k}, +) =
+    (Z/p)^k diagonalizes the convolution with chi.
+    """
+    j = np.arange(p)
+    omega_pow = np.array([pow(omega, e, P) for e in range(p)], dtype=np.int64)
+    forward = omega_pow[j[:, None] * j % p]
+    inverse = omega_pow[-j[:, None] * j % p]
+
+    def transform(v, w):
+        for d in range(k):
+            v = np.matmul(w, v.reshape(p ** d, p, -1)) % P
+        return v.reshape(-1)
+
+    # the inverse transform's 1/n is folded into the transform of chi
+    chi_hat = transform(chi % P, forward) * pow(chi.size, -1, P) % P
+    v = first % P
+    for loc in locals_:
+        v = transform(transform(v, forward) * chi_hat % P, inverse) * loc % P
+    return int(v.sum()) % P
 
 
 def count_transfer(field_, s, variant="consecutive",
@@ -266,58 +282,40 @@ def count_transfer(field_, s, variant="consecutive",
     The character sum factorizes through the chain of difference factors:
     a vector indexed by the current variable is convolved with the
     difference kernel chi(b - a) and multiplied pointwise by the local
-    coordinate/shift factors, one variable at a time.  Exact integer
-    arithmetic throughout; agrees with count_naive wherever both run.
+    coordinate/shift factors, one variable at a time.  Each convolution
+    is a pointwise product in the Fourier domain of (F_{p^k}, +), computed
+    exactly modulo primes P = 1 (mod p); since |T| <= q^{6k}, enough
+    primes to exceed 2 q^{6k} recover T by the Chinese remainder theorem.
+    The largest array must fit in TRANSFER_BYTE_BOUND bytes, else
+    TooLarge.  Agrees with count_naive wherever both run.
     """
     _check_s(field_, s)
-    n = field_.size
-    if n * n > TRANSFER_SIZE_BOUND:
-        raise TooLarge(f"difference kernel of size {n}^2 exceeds the bound")
-    chi, _, _ = _field_tables(field_)
-    if trivial_character:
-        chi = (np.arange(n) != 0).astype(np.int8)
-        chi_x = chi.astype(np.int64)
-        one_enc = _encode(field_, field_.one)
-        s_enc = _encode(field_, s)
-        chi_xm1 = np.zeros(n, dtype=np.int64)
-        chi_smx = np.zeros(n, dtype=np.int64)
-        chi_xms = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            x = _decode(field_, i)
-            chi_xm1[i] = 0 if field_.eq(x, field_.one) else 1
-            chi_smx[i] = 0 if field_.eq(x, s) else 1
-            chi_xms[i] = chi_smx[i]
-        kernel = _chi_diff_matrix_trivial(field_)
-        chi_s = 0 if field_.is_zero(s) else 1
-    else:
-        chi_x, chi_xm1, chi_smx, chi_xms = _unary_tables(field_, s)
-        kernel = _chi_diff_matrix(field_, chi)
-        chi_s = quad_char(field_, s)
-    v = chi_x * chi_xm1
-    if variant == "cyclic":
-        v = v * chi_xms
-    elif variant != "consecutive":
+    if variant not in ("consecutive", "cyclic"):
         raise ValueError(f"unknown variant {variant!r}")
-    locals_ = [chi_xm1, chi_x, chi_xm1, chi_x, chi_xm1]
-    exact = False
-    for loc in locals_:
-        if not exact and int(np.abs(v).max(initial=0)) > _INT64_GUARD // n:
-            exact = True
-            v = [int(x) for x in v]
-        if exact:
-            v = [int(loc[b]) * sum(int(kernel[b, a]) * v[a] for a in range(n))
-                 for b in range(n)]
-        else:
-            v = (kernel @ v) * loc
-    if exact:
-        total = sum(int(chi_smx[b]) * v[b] for b in range(n))
-    else:
-        total = int(np.dot(chi_smx, v))
-    return int(chi_s) * total
+    p, k = field_.char, _degree(field_)
+    _check_transfer_size(p, k)
+    n = p ** k
+    chi = ((np.arange(n) != 0).astype(np.int64) if trivial_character
+           else _chi_table(field_))
 
+    def minus(c):  # x -> chi(x - c): a shift along every digit axis
+        shift = tuple(_digits([_encode(field_, c)], p, k)[0, ::-1])
+        return np.roll(chi.reshape((p,) * k), shift,
+                       axis=tuple(range(k))).reshape(n)
 
-def _chi_diff_matrix_trivial(field_):
-    return (_diff_index_matrix(field_) != 0).astype(np.int64)
+    chi_xm1 = minus(field_.one)
+    chi_xms = minus(s)
+    # chi(s) chi(s - x) = chi(s) chi(-1) chi(x - s) closes the chain
+    minus_one = _encode(field_, field_.neg(field_.one))
+    sign = chi[_encode(field_, s)] * chi[minus_one]
+    first = chi * chi_xm1 * (chi_xms if variant == "cyclic" else 1)
+    locals_ = [chi_xm1, chi, chi_xm1, chi, chi_xm1 * chi_xms * sign]
+    total, modulus = 0, 1
+    for P, omega in _ntt_primes(p, 2 * n ** 6):
+        r = _transfer_residue(P, omega, p, k, chi, first, locals_)
+        total += modulus * ((r - total) * pow(modulus, -1, P) % P)
+        modulus *= P
+    return total - modulus if 2 * total > modulus else total
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +377,7 @@ def series_term(q: int, s: int, k: int, variant="consecutive",
         raise ValueError(f"need an odd prime base, got {q}")
     base = PrimeField(q)
     _check_s(base, base.from_int(s))
+    _check_transfer_size(q, k)  # before searching for a degree-k modulus
     fk = base if k == 1 else ext_field(q, k, skip=modulus_skip)
     sk = fk.from_int(s)
     t = count_transfer(fk, sk, variant=variant)

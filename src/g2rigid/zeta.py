@@ -69,7 +69,7 @@ class ZetaReport:
     weight6_count: int  # eigenvalues with |lambda| = q^3 (relative tol)
     q3_present: bool  # the real eigenvalue q^3 itself
     weil_ok: bool  # every modulus <= q^3 (1 + tol)
-    underdetermined: bool  # fewer terms than twice the model length
+    underdetermined: bool  # under 2L + 2 terms, or a non-integral recurrence
     inconsistent: bool  # no exact recurrence reproduces all terms
     term_ratios: list  # |T_k| / q^(3k), a direct weight-6 growth check
 
@@ -98,8 +98,11 @@ def zeta_analysis(series) -> ZetaReport:
     The fit is exact-first: the minimal rational recurrence is computed
     from the integer terms, and checked against every term; numerical
     work is confined to extracting the roots of the connection
-    polynomial.  A model of length L needs 2L terms to be determined;
-    shorter series are flagged, not rejected.
+    polynomial.  A model of length L is determined only by at least
+    2L + 2 terms and only with integer recurrence coefficients: T_k is a
+    signed power sum over a Galois-stable set of algebraic integers, so
+    its minimal recurrence is monic over Z.  Any other fit is flagged as
+    underdetermined, not rejected, and its moduli give no Weil verdict.
     """
     terms = list(series.terms)
     q = series.q
@@ -112,7 +115,8 @@ def zeta_analysis(series) -> ZetaReport:
         if pred != terms[n]:
             inconsistent = True
             break
-    underdetermined = 2 * length > len(terms)
+    underdetermined = (len(terms) < 2 * length + 2
+                       or any(c.denominator != 1 for c in rec))
     # connection polynomial x^L - rec[0] x^(L-1) - ... - rec[L-1]
     poly = [1.0] + [-float(c) for c in rec]
     roots = np.roots(poly) if length else np.array([])

@@ -127,6 +127,16 @@ def test_zeta_command_passes(capsys, cache_dir):
     assert a["weil_ok"] or a["underdetermined"]
 
 
+def test_zeta_kmax8_fit_is_underdetermined(capsys, cache_dir):
+    # BM fits a length-4 recurrence with non-integral coefficients to the
+    # eight terms; that fit gives no Weil verdict
+    code, doc, _ = _run(capsys, ["zeta", "--q", "3", "--s", "2", "--kmax", "8",
+                                 "--cache-dir", cache_dir])
+    a = doc["outputs"]["analysis"]
+    assert a["underdetermined"] is True and a["model_length"] == "4"
+    assert doc["passed"] is True and code == 0
+
+
 def test_certify_bad_prime_fails(capsys, cache_dir):
     code, doc, _ = _run(capsys, ["certify", "--ell", "7,2",
                                  "--cache-dir", cache_dir])

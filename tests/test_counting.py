@@ -3,8 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2rigid.counting import (count_naive, count_transfer, fiber_factors,
-                              quad_char, series_term)
+from g2rigid.counting import (_chi_table, count_naive, count_transfer,
+                              fiber_factors, quad_char, series_term)
 from g2rigid.errors import NotInBase, TooLarge
 from g2rigid.rings import PrimeField, ext_field
 
@@ -44,6 +44,8 @@ def test_naive_matches_brute(field_, svals):
 @pytest.mark.parametrize("field_,svals", [
     (F3, [2]),
     (F5, [2, 3, 4]),
+    (PrimeField(7), [3]),
+    (PrimeField(11), [3]),
 ])
 def test_transfer_matches_naive(field_, svals):
     for s in svals:
@@ -63,11 +65,23 @@ def test_transfer_matches_naive_extensions():
     assert count_transfer(F25, s25) == -5051
 
 
+@pytest.mark.parametrize("field_", [PrimeField(3)]
+                         + [ext_field(3, k) for k in range(2, 7)]
+                         + [ext_field(5, 3), ext_field(7, 2)])
+def test_chi_table_matches_quad_char(field_):
+    expected = [quad_char(field_, x) for x in field_.elements()]
+    assert _chi_table(field_).tolist() == expected
+
+
 def test_cyclic_variant_consistent():
     s = F5.from_int(3)
     n_nz, n_chi = count_naive(F5, s, variant="cyclic")
     assert count_transfer(F5, s, variant="cyclic") == n_chi
     assert _brute(F5, s, variant="cyclic") == (n_nz, n_chi)
+    for q in (7, 11):
+        F = PrimeField(q)
+        _, tchi = count_naive(F, F.from_int(3), variant="cyclic")
+        assert count_transfer(F, F.from_int(3), variant="cyclic") == tchi
 
 
 def test_trivial_character_counts_nonzero_fibers():
@@ -95,9 +109,18 @@ def test_chi_plus_trivial_double_counts_squares():
 
 
 def test_modulus_independence():
-    t0, _ = series_term(3, 2, 3)
-    t1, _ = series_term(3, 2, 3, modulus_skip=1)
-    assert t0 == t1
+    # p = 5 and 7 use other NTT primes than p = 3
+    for q, k in ((3, 3), (5, 3), (7, 2)):
+        t0, _ = series_term(q, 2, k)
+        t1, _ = series_term(q, 2, k, modulus_skip=1)
+        assert t0 == t1
+
+
+def test_series_term_k9_under_two_moduli():
+    # a second field presentation checks the value independently
+    t0, crossed = series_term(3, 2, 9)
+    t1, _ = series_term(3, 2, 9, modulus_skip=1)
+    assert t0 == t1 == 28478369915423 and not crossed
 
 
 def test_series_term_cross_check_flags():
@@ -112,8 +135,8 @@ def test_bad_parameters():
         count_transfer(F3, F3.zero)
     with pytest.raises(NotInBase):
         count_transfer(F3, F3.one)
-    with pytest.raises(TooLarge):
-        series_term(3, 2, 12)
+    with pytest.raises(TooLarge):  # about 1.03 GB of squaring-map products
+        series_term(3, 2, 14)
 
 
 def test_fiber_factor_count_and_degree():
