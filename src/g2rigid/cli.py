@@ -29,7 +29,7 @@ from .errors import (BadCharacteristic, BadResidue, NotInBase, NotOrdinary,
                      TooLarge, TooSmallPrime)
 from .finitegroups import (adjoint_decomposition, bigness_check, build_h56,
                            conjugacy_classes, sym_power_rep)
-from .g2forms import (DenominatorClash, generation_certificate,
+from .g2forms import (DenominatorClash, _profile_json, generation_certificate,
                       invariant_form_space, lie_stabilizer_dim, reduce_mod)
 from .rings import InvalidCharacteristic
 from .zeta import local_type_prediction, zeta_analysis
@@ -41,11 +41,6 @@ _HANDLED_ERRORS = (BadResidue, BadCharacteristic, TooLarge, NotOrdinary,
                    TooSmallPrime, NotInBase, InvalidCharacteristic,
                    DenominatorClash, RecipeFormatError, RecipeNotFound,
                    ValueError)
-
-
-def _profile_json(profile):
-    return [[[ev, [str(x) for x in part]] for ev, part in point]
-            for point in profile]
 
 
 def _matrix_json(m):
@@ -106,7 +101,7 @@ def cmd_triple(args, cache):
 
 def cmd_certify(args, cache):
     recipe = _recipe_from_args(args)
-    t = realize(recipe)
+    realized = []  # the recipe is replayed on the first cache miss only
     per_ell = []
     all_generate = True
     for ell in args.ell:
@@ -114,8 +109,10 @@ def cmd_certify(args, cache):
                    "ell": ell, "v": 1}
 
         def compute(ell=ell):
+            if not realized:
+                realized.append(realize(recipe))
             try:
-                report = generation_certificate(reduce_mod(t, ell))
+                report = generation_certificate(reduce_mod(realized[0], ell))
                 return report.to_json()
             except _HANDLED_ERRORS as exc:
                 return {"ell": str(ell), "verdict": "Error",
@@ -138,7 +135,7 @@ def cmd_hmodule(args, cache):
         order = group.order
         classes = conjugacy_classes(group)
         decomp = adjoint_decomposition(group)
-        big = bigness_check(group)
+        big = bigness_check(group, decomposition=decomp)
         return {
             "ellprime": str(args.ellprime),
             "order": str(order),

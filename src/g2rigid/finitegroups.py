@@ -5,6 +5,10 @@ eight elements extended by its multiplicative group), the symmetric-power
 representations of SL2, decomposition of conjugation modules, and the
 "bigness" conditions: adjoint cohomology vanishing in degrees 0 and 1
 plus the one-dimensional-eigenspace witness condition.
+
+Groups are generated and materialized as ``Matrix`` objects; all module
+work over F_ell runs on int64 arrays (``modlinalg``), each generator and
+element converted once, which bounds ell below 2^31.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .g2forms import enveloping_dim
-from .matrix import Matrix, columns_to_matrix
-from .modlinalg import (in_rowspace, intersect_rowspaces, inv_mod,
-                        nullspace_mod, rank_mod, row_basis)
+from .matrix import Matrix
+from .modlinalg import (annihilator, extend_basis, in_rowspace,
+                        intersect_rowspaces, inv_mod, matmul_mod,
+                        matrix_array, nullspace_mod, pivot_columns, rank_mod,
+                        row_basis, singular_shifts, span_closure)
 from .rings import PrimeField, is_prime
 
 
@@ -35,6 +41,7 @@ class FiniteMatrixGroup:
         self.generators = list(generators)
         self.name = name
         self._elements = None
+        self._arrays = None
 
     def materialize(self, bound=DEFAULT_ORDER_BOUND):
         """Closure under products, breadth-first from the identity."""
@@ -64,17 +71,13 @@ class FiniteMatrixGroup:
     def order(self):
         return len(self.materialize())
 
-    def element_orders(self):
-        out = set()
-        ident = Matrix.identity(self.field, self.dim)
-        for m in self.materialize():
-            k = 1
-            acc = m
-            while not acc.is_identity():
-                acc = acc * m
-                k += 1
-            out.add(k)
-        return out
+    def arrays(self):
+        """Generators and materialized elements as int64 stacks mod p."""
+        if self._arrays is None:
+            self._arrays = (
+                np.stack([matrix_array(g) for g in self.generators]),
+                np.stack([matrix_array(m) for m in self.materialize()]))
+        return self._arrays
 
 
 def conjugacy_classes(group: FiniteMatrixGroup):
@@ -176,10 +179,6 @@ class Sl2SymRep:
     generators: list
     m: int
 
-    def as_group(self) -> FiniteMatrixGroup:
-        return FiniteMatrixGroup(self.field, self.dim, self.generators,
-                                 name=f"sl2-sym{self.m}")
-
 
 def _sym_power_matrix(F, a, b, c, d, m):
     """Action of [[a,b],[c,d]] on the basis x^(m-i) y^i, columns = images."""
@@ -220,188 +219,129 @@ def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
 # ---------------------------------------------------------------------------
 # conjugation (adjoint) modules
 
-def adjoint_action(g: Matrix) -> Matrix:
-    """Conjugation X -> g X g^-1 as a matrix on the n^2 coordinate space."""
-    R = g.ring
-    n = g.rows
-    gi = g.inverse()
-    out = Matrix.zero(R, n * n, n * n)
-    for i in range(n):
-        for k in range(n):
-            gik = g.data[i][k]
-            if R.is_zero(gik):
-                continue
-            for l in range(n):
-                for j in range(n):
-                    out.data[i * n + j][k * n + l] = R.add(
-                        out.data[i * n + j][k * n + l],
-                        R.mul(gik, gi.data[l][j]))
-    return out
+def adjoint_action(g, p):
+    """Conjugation X -> g X g^-1 on row-flattened n x n matrices.
+
+    Entry (i n + j, k n + l) is g[i, k] g^-1[l, j], i.e. kron(g, g^-T).
+    """
+    return np.kron(g, inv_mod(g, p).T) % p
 
 
-def _matrix_log_unipotent(U: Matrix) -> Matrix:
+def _log_unipotent(U, p):
     """log of a unipotent matrix via the truncated series (char > nilpotency)."""
-    R = U.ring
-    n = U.rows
-    N = U - Matrix.identity(R, n)
-    acc = Matrix.zero(R, n, n)
-    power = Matrix.identity(R, n)
+    eye = np.eye(U.shape[0], dtype=np.int64)
+    N = (U - eye) % p
+    acc = np.zeros_like(U)
+    power = eye
     k = 1
     while True:
-        power = power * N
-        if power.is_zero_matrix():
+        power = matmul_mod(power, N, p)
+        if not power.any():
             break
-        if k >= R.char:
+        if k >= p:
             raise NotOrdinary("unipotent log undefined: nilpotency >= char")
-        coeff = R.div(R.from_int(-1 if k % 2 == 0 else 1), R.from_int(k))
-        acc = acc + power.scale(coeff)
+        coeff = (-1 if k % 2 == 0 else 1) * pow(k, p - 2, p) % p
+        acc = (acc + coeff * power) % p
         k += 1
     return acc
 
 
-def _casimir_on_adjoint(rep: Sl2SymRep) -> Matrix:
+def _casimir_on_adjoint(gens, p):
     """EF + FE + H^2/2 built from logs of the two unipotent generators."""
-    F = rep.field
-    U_ad = adjoint_action(rep.generators[0])
-    L_ad = adjoint_action(rep.generators[1])
-    E = _matrix_log_unipotent(U_ad)
-    Fo = _matrix_log_unipotent(L_ad)
-    H = E * Fo - Fo * E
-    half = F.div(F.one, F.from_int(2))
-    return E * Fo + Fo * E + (H * H).scale(half)
+    E, Fo = (_log_unipotent(adjoint_action(g, p), p) for g in gens)
+    EF = matmul_mod(E, Fo, p)
+    FE = matmul_mod(Fo, E, p)
+    H = (EF - FE) % p
+    half = pow(2, p - 2, p)
+    return (EF + FE + half * matmul_mod(H, H, p) % p) % p
 
 
-def _eigen_split(theta: Matrix):
+def _shift(theta, a, p):
+    return (theta - a * np.eye(theta.shape[0], dtype=np.int64)) % p
+
+
+def _eigen_split(theta, p):
     """G-stable eigenspace decomposition of the ambient space, or None.
 
-    Returns a list of column-basis matrices whose dimensions sum to the
-    full space exactly when theta is diagonalizable with all eigenvalues
-    in the ground field.
+    Returns row bases (reduced echelon) of the eigenspaces, by ascending
+    eigenvalue, whose dimensions sum to the full space exactly when theta
+    is diagonalizable with all eigenvalues in the ground field.
     """
-    F = theta.ring
-    n = theta.rows
+    n = theta.shape[0]
     spaces = []
     total = 0
-    for a in range(F.p):
-        null = (theta - Matrix.scalar(F, n, F.from_int(a))).nullspace()
-        if null:
-            spaces.append((a, columns_to_matrix(F, null)))
-            total += len(null)
+    for a in singular_shifts(theta, p):
+        space = row_basis(nullspace_mod(_shift(theta, a, p), p), p)
+        spaces.append(space)
+        total += space.shape[0]
         if total == n:
-            break
-    if total != n:
-        return None
-    return spaces
+            return spaces
+    return None
 
 
-def _restrict(mats, basis: Matrix):
-    """Action matrices restricted to the invariant column span of ``basis``."""
+def _restrict(mats, basis, p):
+    """Action matrices restricted to the invariant span of the rows of
+    ``basis`` (reduced echelon), in the coordinates of those rows."""
+    pivots = pivot_columns(basis)
     out = []
     for M in mats:
-        sol = basis.solve_right(M * basis)
-        if sol is None:
+        images = matmul_mod(basis, M.T, p)  # row i: M applied to row i
+        coords = images[:, pivots]
+        if (matmul_mod(coords, basis, p) != images).any():
             raise AssertionError("subspace is not invariant")
-        out.append(sol)
+        out.append(coords.T)
     return out
 
 
-def _spin(mats, vector):
-    """Column basis of the submodule generated by one coordinate vector."""
-    F = mats[0].ring
-    n = mats[0].rows
-    echelon = {}
-
-    def insert(vec):
-        vec = list(vec)
-        for piv in sorted(echelon):
-            if not F.is_zero(vec[piv]):
-                c = vec[piv]
-                bv = echelon[piv]
-                vec = [F.sub(x, F.mul(c, y)) for x, y in zip(vec, bv)]
-        for i, x in enumerate(vec):
-            if not F.is_zero(x):
-                inv = F.inv(x)
-                echelon[i] = [F.mul(inv, y) for y in vec]
-                return True
-        return False
-
-    insert(vector)
-    frontier = [vector]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            col = Matrix(F, [[x] for x in v])
-            for M in mats:
-                w = [row[0] for row in (M * col).data]
-                if insert(w):
-                    nxt.append(w)
-        frontier = nxt
-    basis = [echelon[p] for p in sorted(echelon)]
-    return columns_to_matrix(F, basis)
+def _quotient(mats, sub, p):
+    """Action on the quotient by the invariant span of the rows of ``sub``
+    (reduced echelon), in the standard coordinates off its pivots."""
+    pivots = pivot_columns(sub)
+    compl = np.setdiff1d(np.arange(sub.shape[1]), pivots)
+    lift = sub[:, compl].T
+    return [(M[np.ix_(compl, compl)]
+             - matmul_mod(lift, M[np.ix_(pivots, compl)], p)) % p
+            for M in mats]
 
 
-def _word_elements(mats, tries):
+def _spin(mats, rows, p):
+    """Row basis (reduced echelon) of the submodule generated by ``rows``."""
+    return span_closure(
+        rows, lambda front: np.concatenate(
+            [matmul_mod(front, M.T, p) for M in mats]), p)
+
+
+def _word_elements(mats, p, tries):
     """Deterministic sequence of algebra elements built from generator words."""
-    F = mats[0].ring
-    n = mats[0].rows
-    out = []
+    n = mats[0].shape[0]
     state = 1
     for _ in range(tries):
-        acc = Matrix.zero(F, n, n)
-        word = Matrix.identity(F, n)
+        acc = np.zeros((n, n), dtype=np.int64)
+        word = np.eye(n, dtype=np.int64)
         for _step in range(4):
             state = (state * 48271) % 2147483647
-            g = mats[state % len(mats)]
-            word = word * g
+            word = matmul_mod(word, mats[state % len(mats)], p)
             state = (state * 48271) % 2147483647
-            coeff = F.from_int(1 + state % (F.p - 1))
-            acc = acc + word.scale(coeff)
-        out.append(acc)
-    return out
+            acc = (acc + (1 + state % (p - 1)) * word) % p
+        yield acc
 
 
-def _composition_dims(mats, dim, tries=12):
+def _composition_dims(mats, p, tries=12):
     """Composition factor dimensions of the module with given action."""
-    if dim == 0:
-        return []
-    F = mats[0].ring
-    for theta in _word_elements(mats, tries):
-        for a in range(F.p):
-            null = (theta - Matrix.scalar(F, dim, F.from_int(a))).nullspace()
-            if not null:
-                continue
-            sub = _spin(mats, null[0])
-            d = sub.cols
-            if 0 < d < dim:
-                inner = _composition_dims(_restrict(mats, sub), d)
-                outer = _composition_dims(_quotient(mats, sub), dim - d)
-                return inner + outer
-    if enveloping_dim(mats) == dim * dim:
+    dim = mats[0].shape[0]
+    if dim == 1:
+        return [1]
+    for theta in _word_elements(mats, p, tries):
+        for a in singular_shifts(theta, p):
+            vector = nullspace_mod(_shift(theta, a, p), p)[0]
+            sub = _spin(mats, vector.reshape(1, -1), p)
+            d = sub.shape[0]
+            if d < dim:
+                return (_composition_dims(_restrict(mats, sub, p), p)
+                        + _composition_dims(_quotient(mats, sub, p), p))
+    if enveloping_dim(mats, p) == dim * dim:
         return [dim]
     raise NotOrdinary("module neither splits nor certifies irreducible")
-
-
-def _quotient(mats, sub: Matrix):
-    """Action on the quotient by the invariant column span of ``sub``."""
-    F = mats[0].ring
-    n = mats[0].rows
-    d = sub.cols
-    # extend the basis by standard vectors on non-pivot rows
-    reduced, pivots = sub.transpose()._echelon()
-    pivot_set = set(pivots)
-    cols = [[sub.data[i][j] for i in range(n)] for j in range(d)]
-    compl = [c for c in range(n) if c not in pivot_set]
-    for c in compl:
-        e = [F.zero] * n
-        e[c] = F.one
-        cols.append(e)
-    P = columns_to_matrix(F, cols)
-    Pi = P.inverse()
-    out = []
-    for M in mats:
-        C = Pi * M * P
-        out.append(Matrix(F, [row[d:] for row in C.data[d:]]))
-    return out
 
 
 @dataclass
@@ -410,7 +350,8 @@ class DecompositionReport:
 
     dimension: int
     pairs: tuple  # sorted ((constituent dim, number of summands), ...)
-    isotypic: list = field(default_factory=list)  # (basis, constituent dim)
+    # (row basis of the eigenspace, constituent dim or None if mixed)
+    isotypic: list = field(default_factory=list)
 
     def to_json(self):
         return {
@@ -429,40 +370,30 @@ def adjoint_decomposition(rep) -> DecompositionReport:
     criterion for the irreducible leaves.
     """
     if isinstance(rep, Sl2SymRep):
-        ops = [_casimir_on_adjoint(rep)]
-        F = rep.field
-        gens = rep.generators
+        p = rep.field.p
+        gens = [matrix_array(g) for g in rep.generators]
+        ops = [_casimir_on_adjoint(gens, p)]
     elif isinstance(rep, FiniteMatrixGroup):
-        F = rep.field
-        gens = rep.generators
-        elements = rep.materialize()
-        if len(elements) % F.p == 0:
+        p = rep.field.p
+        gens, elements = rep.arrays()
+        if len(elements) % p == 0:
             raise NotOrdinary(
-                f"characteristic {F.p} divides the group order {len(elements)}")
-        ops = []
-        for cls in conjugacy_classes(rep):
-            n2 = rep.dim * rep.dim
-            acc = Matrix.zero(F, n2, n2)
-            for i in cls:
-                acc = acc + adjoint_action(elements[i])
-            ops.append(acc)
+                f"characteristic {p} divides the group order {len(elements)}")
+        ops = [sum(adjoint_action(elements[i], p) for i in cls) % p
+               for cls in conjugacy_classes(rep)]
     else:
         raise TypeError("expected a matrix group or symmetric-power rep")
 
-    ad_gens = [adjoint_action(g) for g in gens]
-    n2 = ad_gens[0].rows
+    ad_gens = [adjoint_action(g, p) for g in gens]
+    n2 = ad_gens[0].shape[0]
     # deterministic generic combinations of the equivariant operators,
     # then the operators individually as a fallback
-    combos = []
-    for w in range(2, 5):
-        acc = Matrix.zero(F, n2, n2)
-        for i, op in enumerate(ops):
-            acc = acc + op.scale(F.from_int(pow(w, i + 1, F.p)))
-        combos.append(acc)
+    combos = [sum(pow(w, i + 1, p) * op % p for i, op in enumerate(ops)) % p
+              for w in range(2, 5)]
     combos.extend(ops)
     split = None
     for theta in combos:
-        spaces = _eigen_split(theta)
+        spaces = _eigen_split(theta, p)
         if spaces is not None and (split is None or len(spaces) > len(split)):
             split = spaces
             if len(split) > 1:
@@ -472,9 +403,8 @@ def adjoint_decomposition(rep) -> DecompositionReport:
 
     pairs = {}
     isotypic = []
-    for _a, basis in split:
-        sub_mats = _restrict(ad_gens, basis)
-        dims = _composition_dims(sub_mats, basis.cols)
+    for basis in split:
+        dims = _composition_dims(_restrict(ad_gens, basis, p), p)
         if len(set(dims)) != 1:
             # mixed eigenspace: record factors individually
             for d in dims:
@@ -498,20 +428,15 @@ def adjoint_decomposition(rep) -> DecompositionReport:
 def fixed_space_dim(group: FiniteMatrixGroup, trace_zero=True,
                     use_all_elements=False) -> int:
     """Dimension of the conjugation-fixed subspace of (trace-zero) matrices."""
-    F = group.field
+    p = group.field.p
     n = group.dim
-    mats = group.materialize() if use_all_elements else group.generators
-    rows = []
-    ident = Matrix.identity(F, n * n)
-    for g in mats:
-        diff = adjoint_action(g) - ident
-        rows.extend(diff.data)
+    gens, elements = group.arrays()
+    eye = np.eye(n * n, dtype=np.int64)
+    rows = [(adjoint_action(g, p) - eye) % p
+            for g in (elements if use_all_elements else gens)]
     if trace_zero:
-        trace_row = [F.zero] * (n * n)
-        for i in range(n):
-            trace_row[i * n + i] = F.one
-        rows.append(trace_row)
-    return n * n - Matrix(F, rows).rank()
+        rows.append(np.eye(n, dtype=np.int64).reshape(1, -1))
+    return n * n - rank_mod(np.concatenate(rows), p)
 
 
 def h1_dim(group: FiniteMatrixGroup) -> int:
@@ -522,57 +447,48 @@ def h1_dim(group: FiniteMatrixGroup) -> int:
     graph and collecting the consistency equations cuts out the cocycle
     space, from which the coboundary dimension is subtracted.
     """
-    F = group.field
-    p = F.p
+    p = group.field.p
     n = group.dim
     n2 = n * n
-    gens = group.generators
+    gens, elements = group.arrays()
     k = len(gens)
-    elements = group.materialize()
-    index = {m: i for i, m in enumerate(elements)}
-    # right action matrices X -> g^-1 X g, as numpy arrays
-    acts = [np.array(adjoint_action(g.inverse()).data, dtype=np.int64) % p
-            for g in gens]
+    index = {m.tobytes(): i for i, m in enumerate(elements)}
+    # right Cayley graph: times[si][gi] is the index of element gi * gen si
+    times = [[index[m.tobytes()] for m in matmul_mod(elements, s, p)]
+             for s in gens]
+    # right action matrices X -> g^-1 X g
+    acts = [adjoint_action(inv_mod(g, p), p) for g in gens]
     unknowns = k * n2
+    # trace-zero constraint on the generator values, then the consistency
+    # equations met while propagating, inserted into one echelon basis
+    trace_rows = np.zeros((k, unknowns), dtype=np.int64)
+    for si in range(k):
+        for i in range(n):
+            trace_rows[si, si * n2 + i * n + i] = 1
+    relations = row_basis(trace_rows, p)
     expr = [None] * len(elements)
-    ident_idx = index[Matrix.identity(F, n)]
+    ident_idx = index[np.eye(n, dtype=np.int64).tobytes()]
     expr[ident_idx] = np.zeros((n2, unknowns), dtype=np.int64)
     frontier = [ident_idx]
-    constraints = []
     while frontier:
         nxt = []
         for gi in frontier:
-            g = elements[gi]
-            for si, s in enumerate(gens):
-                h = g * s
-                hi = index[h]
+            for si in range(k):
+                hi = times[si][gi]
                 block = np.zeros((n2, unknowns), dtype=np.int64)
                 block[:, si * n2:(si + 1) * n2] = np.eye(n2, dtype=np.int64)
-                cand = (acts[si] @ expr[gi] + block) % p
+                cand = (matmul_mod(acts[si], expr[gi], p) + block) % p
                 if expr[hi] is None:
                     expr[hi] = cand
                     nxt.append(hi)
                 else:
                     diff = (expr[hi] - cand) % p
                     if diff.any():
-                        constraints.append(diff)
+                        relations, _ = extend_basis(relations, diff, p)
         frontier = nxt
-    # trace-zero constraint on the generator values
-    trace_rows = np.zeros((k, unknowns), dtype=np.int64)
-    for si in range(k):
-        for i in range(n):
-            trace_rows[si, si * n2 + i * n + i] = 1
-    constraints.append(trace_rows)
-    system = np.concatenate(constraints, axis=0) if constraints else \
-        np.zeros((1, unknowns), dtype=np.int64)
-    z1 = unknowns - rank_mod(system, p)
+    z1 = unknowns - relations.shape[0]
     b1 = (n2 - 1) - fixed_space_dim(group, trace_zero=True)
     return z1 - b1
-
-
-def _np_matrix(M: Matrix, p: int):
-    return np.mod(np.array([[int(x) for x in row] for row in M.data],
-                           dtype=np.int64), p)
 
 
 def _eigen_functionals(h, p: int):
@@ -586,11 +502,11 @@ def _eigen_functionals(h, p: int):
     projection back to the eigenline.
     """
     n = h.shape[0]
-    for alpha in range(p):
-        b = (h - alpha * np.eye(n, dtype=np.int64)) % p
+    for alpha in singular_shifts(h, p):
+        b = _shift(h, alpha, p)
         power = np.eye(n, dtype=np.int64)
         for _ in range(n):
-            power = (power @ b) % p
+            power = matmul_mod(power, b, p)
         kernel = nullspace_mod(power, p)
         if len(kernel) != 1:
             continue
@@ -604,23 +520,6 @@ def _eigen_functionals(h, p: int):
         yield alpha, lam
 
 
-def _spin_rows(ad_mats, vector, p):
-    """Row basis of the submodule generated by one coordinate vector."""
-    basis = row_basis(vector.reshape(1, -1), p)
-    frontier = [vector]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for A in ad_mats:
-                w = (A @ v) % p
-                if not in_rowspace(basis, w, p):
-                    basis = row_basis(np.concatenate(
-                        [basis, w.reshape(1, -1)], axis=0), p)
-                    nxt.append(w)
-        frontier = nxt
-    return basis
-
-
 def _split_into_summands(ad_mats, component, p):
     """Greedy direct-sum decomposition of a component into submodules.
 
@@ -632,12 +531,12 @@ def _split_into_summands(ad_mats, component, p):
     for v in component:
         if in_rowspace(covered, v, p):
             continue
-        w = _spin_rows(ad_mats, v, p)
-        stacked = row_basis(np.concatenate([covered, w], axis=0), p)
-        if stacked.shape[0] != covered.shape[0] + w.shape[0]:
+        w = _spin(ad_mats, v.reshape(1, -1), p)
+        joint, new = extend_basis(covered, w, p)
+        if new.shape[0] != w.shape[0]:
             continue  # not transverse to what is already covered
         summands.append(w)
-        covered = stacked
+        covered = joint
         if covered.shape[0] == component.shape[0]:
             break
     if covered.shape[0] != component.shape[0]:
@@ -646,16 +545,15 @@ def _split_into_summands(ad_mats, component, p):
 
 
 def _invariant_core_rows(space, ad_inv_t, p):
-    """Largest conjugation-stable subspace inside a row-space, as rows."""
-    core = space
-    while core.shape[0]:
-        new = core
-        for At in ad_inv_t:
-            new = intersect_rowspaces(new, (core @ At) % p, p)
-        if new.shape[0] == core.shape[0]:
-            break
-        core = new
-    return core
+    """Largest conjugation-stable subspace inside a row-space, as rows.
+
+    Rows transform by right multiplication with ``ad_inv_t``, so the
+    stable subspaces inside ``space`` are the annihilators of the
+    subspaces that contain its annihilator and are stable under the
+    transposed action; the largest is the annihilator of the one spun up
+    from ``space``'s annihilator.
+    """
+    return annihilator(_spin(ad_inv_t, annihilator(space, p), p), p)
 
 
 @dataclass
@@ -679,8 +577,8 @@ class BignessReport:
         }
 
 
-def bigness_check(group: FiniteMatrixGroup,
-                  bound=DEFAULT_ORDER_BOUND) -> BignessReport:
+def bigness_check(group: FiniteMatrixGroup, bound=DEFAULT_ORDER_BOUND,
+                  decomposition=None) -> BignessReport:
     """Adjoint H^0/H^1 vanishing plus the eigenspace-witness condition.
 
     The conjugation module is split into an explicit direct sum of
@@ -698,36 +596,35 @@ def bigness_check(group: FiniteMatrixGroup,
     invariant under conjugation by its own element h, so it vanishes on
     any line h scales nontrivially.  Such summands are reported as
     failures rather than silently skipped.
+
+    ``decomposition`` is the group's ``adjoint_decomposition`` when the
+    caller already has it; otherwise it is computed here.
     """
-    F = group.field
-    p = F.p
-    elements = group.materialize(bound)
+    p = group.field.p
+    group.materialize(bound)
+    gens, elements = group.arrays()
     h0 = fixed_space_dim(group, trace_zero=True)
     h1 = h1_dim(group)
-    try:
-        decomp = adjoint_decomposition(group)
-    except NotOrdinary as exc:
-        return BignessReport(h0_ad0_dim=h0, h1_ad0_dim=h1, witnesses=[],
-                             failures=[f"decomposition failed: {exc}"],
-                             verdict="Fails")
-    ad_mats = [_np_matrix(adjoint_action(g), p) for g in group.generators]
-    ad_inv_t = [_np_matrix(adjoint_action(g.inverse()), p).T
-                for g in group.generators]
+    if decomposition is None:
+        try:
+            decomposition = adjoint_decomposition(group)
+        except NotOrdinary as exc:
+            return BignessReport(h0_ad0_dim=h0, h1_ad0_dim=h1, witnesses=[],
+                                 failures=[f"decomposition failed: {exc}"],
+                                 verdict="Fails")
+    ad_mats = [adjoint_action(g, p) for g in gens]
+    ad_inv_t = [adjoint_action(inv_mod(g, p), p).T for g in gens]
     # candidate (element index, alpha, functional) triples
-    candidates = []
-    for hi, h in enumerate(elements):
-        hn = _np_matrix(h, p)
-        for alpha, lam in _eigen_functionals(hn, p):
-            candidates.append((hi, alpha, lam))
+    candidates = [(hi, alpha, lam) for hi, h in enumerate(elements)
+                  for alpha, lam in _eigen_functionals(h, p)]
     witnesses = []
     failures = []
     summand_id = 0
-    for ci, (basis, d) in enumerate(decomp.isotypic):
-        component = row_basis(_np_matrix(basis, p).T, p)
+    for ci, (component, d) in enumerate(decomposition.isotypic):
         for w in _split_into_summands(ad_mats, component, p):
             found = False
             for hi, alpha, lam in candidates:
-                if ((w @ lam) % p).any():
+                if matmul_mod(w, lam, p).any():
                     witnesses.append((summand_id, w.shape[0], hi, alpha))
                     found = True
                     break
@@ -741,12 +638,12 @@ def bigness_check(group: FiniteMatrixGroup,
         for hi, alpha, lam in candidates:
             if uncovered.shape[0] == 0:
                 break
-            vals = (component @ lam) % p
+            vals = matmul_mod(component, lam, p)
             if not vals.any():
                 continue
             kernel = nullspace_mod(vals.reshape(1, -1), p)
             if kernel:
-                kr = (np.array(kernel, dtype=np.int64) @ component) % p
+                kr = matmul_mod(np.array(kernel), component, p)
                 killed = _invariant_core_rows(row_basis(kr, p), ad_inv_t, p)
             else:
                 killed = np.zeros((0, component.shape[1]), dtype=np.int64)

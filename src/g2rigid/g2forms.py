@@ -11,8 +11,11 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .convolution import RigidTuple, local_profile
 from .matrix import Matrix
+from .modlinalg import matmul_mod, matrix_array, span_closure
 from .rings import QQ, PrimeField
 
 
@@ -251,15 +254,6 @@ def invariant_form_space(t: RigidTuple, degree: int):
     raise ValueError("degree must be 2 or 3")
 
 
-def _symmetrize(R, S):
-    out = Matrix.zero(R, S.rows, S.cols)
-    half = R.div(R.one, R.from_int(2))
-    for i in range(S.rows):
-        for j in range(S.cols):
-            out.data[i][j] = R.mul(half, R.add(S.data[i][j], S.data[j][i]))
-    return out
-
-
 def lie_stabilizer_dim(forms) -> int:
     """dim of the matrix Lie algebra annihilating both forms.
 
@@ -327,48 +321,28 @@ def reduce_mod(t: RigidTuple, ell: int) -> RigidTuple:
     return out
 
 
-def enveloping_dim(mats) -> int:
-    """Dimension of the matrix algebra generated by the given matrices."""
+def enveloping_dim(mats, p=None) -> int:
+    """Dimension of the matrix algebra generated by the given matrices.
+
+    ``mats`` are Matrix objects over a prime field, converted to int64
+    arrays here, or arrays mod ``p`` when ``p`` is given.  The algebra is
+    spanned level by level from the identity: each level is the new part
+    of the previous one times every generator.
+    """
     if not mats:
         return 0
-    R = mats[0].ring
-    n = mats[0].rows
-    echelon = {}  # pivot index -> vector (list length n^2)
+    if p is None:
+        p = mats[0].ring.p
+        mats = [matrix_array(m) for m in mats]
+    n = mats[0].shape[0]
 
-    def reduce_vec(vec):
-        vec = list(vec)
-        for piv in sorted(echelon):
-            if not R.is_zero(vec[piv]):
-                f = vec[piv]
-                bv = echelon[piv]
-                vec = [R.sub(x, R.mul(f, y)) for x, y in zip(vec, bv)]
-        return vec
+    def products(front):
+        blocks = front.reshape(-1, n, n)
+        return np.concatenate([matmul_mod(blocks, g, p).reshape(-1, n * n)
+                               for g in mats])
 
-    def insert(mat):
-        vec = reduce_vec([x for row in mat.data for x in row])
-        for i, x in enumerate(vec):
-            if not R.is_zero(x):
-                inv = R.inv(x)
-                echelon[i] = [R.mul(inv, y) for y in vec]
-                return True
-        return False
-
-    frontier = [Matrix.identity(R, n)]
-    insert(frontier[0])
-    gens = list(mats)
-    pool = list(gens)
-    for g in gens:
-        if insert(g):
-            frontier.append(g)
-    while frontier and len(echelon) < n * n:
-        nxt = []
-        for m in frontier:
-            for g in pool:
-                prod = m * g
-                if insert(prod):
-                    nxt.append(prod)
-        frontier = nxt
-    return len(echelon)
+    identity = np.eye(n, dtype=np.int64).reshape(1, -1)
+    return span_closure(identity, products, p).shape[0]
 
 
 @dataclass

@@ -1,15 +1,59 @@
 """Dense linear algebra over F_p on numpy int64 arrays.
 
-Used where the exact ring-generic Matrix class would be too slow (large
-cocycle systems and similar); entries are ints in [0, p).
+All F_p module work runs here on int64 arrays with entries in [0, p):
+adjoint actions, eigenspace and composition splitting, spin-up, the
+enveloping algebra and the bigness certificate.  A ``Matrix`` over a
+prime field is converted once, at the boundary, by ``matrix_array``.
+Every matrix product goes through ``matmul_mod``, which is exact for any
+prime p < 2^31 (``MAX_MODULUS``); larger moduli are refused with
+``TooLarge``, since there a single product (p - 1)^2 overflows int64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import TooLarge
+
+MAX_MODULUS = 2 ** 31
+_INT64_MAX = 2 ** 63 - 1
+# entries per batch of shifted matrices in ``singular_shifts``; bounds its
+# working memory to a few MB whatever the prime
+_SHIFT_BLOCK_ENTRIES = 2 ** 18
+
+
+def _check_modulus(p):
+    if p >= MAX_MODULUS:
+        raise TooLarge(f"modulus {p} is not below 2^31: int64 products "
+                       "would overflow")
+
+
+def matrix_array(M):
+    """Entries of a Matrix over a prime field as an int64 array mod p."""
+    _check_modulus(M.ring.p)
+    return np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols) % M.ring.p
+
+
+def matmul_mod(a, b, p):
+    """a @ b mod p for entries in [0, p), exact for every p < 2^31.
+
+    ``b`` is a vector or a matrix; ``a`` may carry leading batch axes.
+    The inner dimension is summed in chunks short enough that a partial
+    sum plus the reduced accumulator stays below 2^63.
+    """
+    _check_modulus(p)
+    chunk = (_INT64_MAX - p) // max(1, (p - 1) ** 2)
+    inner = a.shape[-1]
+    if inner <= chunk:
+        return (a @ b) % p
+    out = 0
+    for s in range(0, inner, chunk):
+        out = (out + a[..., s:s + chunk] @ b[s:s + chunk]) % p
+    return out
+
 
 def _as_mod_array(rows, p):
+    _check_modulus(p)
     a = np.array(rows, dtype=np.int64)
     if a.ndim == 1:
         a = a.reshape(1, -1)
@@ -31,13 +75,12 @@ def rref_mod(rows, p):
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        row = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        a[r] = row
         col = a[:, c].copy()
         col[r] = 0
-        mask = col != 0
-        if mask.any():
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+        a -= np.outer(col, row)
+        a %= p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -63,6 +106,12 @@ def nullspace_mod(rows, p):
     return basis
 
 
+def annihilator(rows, p):
+    """Reduced echelon basis of the right kernel of ``rows``, as rows."""
+    null = nullspace_mod(rows, p)
+    return row_basis(np.array(null).reshape(len(null), rows.shape[1]), p)
+
+
 def inv_mod(a, p):
     """Inverse of a square matrix mod p (raises ZeroDivisionError if singular)."""
     a = _as_mod_array(a, p)
@@ -80,18 +129,20 @@ def row_basis(rows, p):
     return a[: len(pivots)]
 
 
+def pivot_columns(basis):
+    """Leading column of each row of an echelon basis without zero rows."""
+    return np.argmax(basis != 0, axis=1)
+
+
+def _residue(basis, rows, p):
+    """Rows (or one vector) minus their part in the span of a reduced
+    echelon basis, read off at its pivot columns; zero iff spanned."""
+    return (rows - matmul_mod(rows[..., pivot_columns(basis)], basis, p)) % p
+
+
 def in_rowspace(basis, v, p):
-    """Whether vector v lies in the row space of an echelonized basis."""
-    return not _reduce_against(basis, v, p).any()
-
-
-def _reduce_against(basis, v, p):
-    v = np.mod(np.array(v, dtype=np.int64), p)
-    for row in basis:
-        pc = int(np.argmax(row != 0)) if row.any() else None
-        if pc is not None and v[pc]:
-            v = (v - v[pc] * row) % p
-    return v
+    """Whether vector v lies in the row space of a reduced echelon basis."""
+    return not _residue(basis, v, p).any()
 
 
 def intersect_rowspaces(u, v, p):
@@ -105,4 +156,67 @@ def intersect_rowspaces(u, v, p):
     if not sols:
         return np.zeros((0, u.shape[1]), dtype=np.int64)
     combos = np.array([z[: u.shape[0]] for z in sols], dtype=np.int64)
-    return row_basis((combos @ u) % p, p)
+    return row_basis(matmul_mod(combos, u, p), p)
+
+
+def extend_basis(basis, rows, p):
+    """Echelon insertion of a block of rows into a reduced echelon basis.
+
+    Returns the reduced echelon basis of the joint span and a reduced
+    echelon basis of ``rows`` modulo the old span (empty when nothing is
+    new), which spans a complement of the old span in the new one.
+    """
+    new, new_pivots = rref_mod(_residue(basis, rows, p), p)
+    new = new[:len(new_pivots)]
+    if not new_pivots:
+        return basis, new
+    # clear the new pivot columns from the old rows, then sort by pivot
+    basis = (basis - matmul_mod(basis[:, new_pivots], new, p)) % p
+    order = np.argsort(np.concatenate([pivot_columns(basis), new_pivots]))
+    return np.concatenate([basis, new])[order], new
+
+
+def span_closure(rows, images, p):
+    """Smallest subspace containing ``rows`` and closed under ``images``.
+
+    ``images`` maps a block of rows to the block of their images under
+    every generator.  The span grows level by level: one echelon
+    insertion per level of images, applied only to the rows that were
+    new at the previous level.  Returns a reduced echelon basis.
+    """
+    basis, frontier = extend_basis(
+        np.zeros((0, rows.shape[1]), dtype=np.int64), rows, p)
+    while frontier.shape[0] and basis.shape[0] < basis.shape[1]:
+        basis, frontier = extend_basis(basis, images(frontier), p)
+    return basis
+
+
+def singular_shifts(theta, p):
+    """The a in F_p, ascending, at which theta - a I is singular.
+
+    The shifts are tested in blocks by one batched elimination over the
+    (block, d, d) stack of shifted matrices, instead of one nullspace per
+    a; a column without a pivot marks its matrix singular.
+    """
+    d = theta.shape[0]
+    eye = np.eye(d, dtype=np.int64)
+    block = max(1, _SHIFT_BLOCK_ENTRIES // max(1, d * d))
+    for start in range(0, p, block):
+        shifts = np.arange(start, min(p, start + block), dtype=np.int64)
+        stack = (theta[None] - shifts[:, None, None] * eye) % p
+        batch = np.arange(len(shifts))
+        singular = np.zeros(len(shifts), dtype=bool)
+        for c in range(d):
+            nonzero = stack[:, c:, c] != 0
+            singular |= ~nonzero.any(axis=1)
+            pr = c + np.argmax(nonzero, axis=1)
+            top = stack[batch, c, c:].copy()
+            stack[batch, c, c:] = stack[batch, pr, c:]
+            stack[batch, pr, c:] = top
+            # fraction-free: row <- pivot * row - row[c] * pivot row
+            piv = stack[:, c, c][:, None, None]
+            stack[:, c + 1:, c + 1:] = (
+                piv * stack[:, c + 1:, c + 1:]
+                - stack[:, c + 1:, c][:, :, None] * stack[:, c, None, c + 1:]
+            ) % p
+        yield from (int(a) for a in shifts[singular])

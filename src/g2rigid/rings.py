@@ -153,12 +153,6 @@ def poly_trim(c):
     return tuple(c)
 
 
-def poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return poly_trim([( (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                      for i in range(n)])
-
-
 def poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -200,17 +194,6 @@ def poly_gcd(a, b, p):
         inv_lead = pow(a[-1], p - 2, p)
         a = tuple((c * inv_lead) % p for c in a)
     return a
-
-
-def poly_powmod(base, e, mod, p):
-    result = (1,)
-    base = poly_mod(base, mod, p)
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, base, p), mod, p)
-        base = poly_mod(poly_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
 
 
 def is_irreducible(f, p: int) -> bool:

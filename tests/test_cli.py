@@ -170,3 +170,69 @@ def test_env_var_cache_dir(capsys, monkeypatch, tmp_path):
     code, doc, _ = _run(capsys, ["predict", "--s", "10"])
     assert code == 0
     assert env_dir.exists()
+
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_fmodule.json")
+with open(GOLDEN_PATH, "r", encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_fmodule_reports_match_golden(capsys, cache_dir, name):
+    """hmodule and sl2 reproduce the recorded reports exactly, including
+    the H56 witnesses and failures with their element indices."""
+    want = GOLDEN[name]
+    code, doc, _ = _run(capsys, want["argv"] + ["--cache-dir", cache_dir])
+    assert doc["outputs"] == want["outputs"]
+    assert doc["passed"] == want["passed"] and code == (0 if want["passed"]
+                                                        else 1)
+    assert doc["cache_keys"] == want["cache_keys"]
+
+
+def test_hmodule_decomposes_once(capsys, cache_dir, monkeypatch):
+    from g2rigid import cli, finitegroups
+    calls = []
+    original = finitegroups.adjoint_decomposition
+
+    def counting(rep):
+        calls.append(rep)
+        return original(rep)
+
+    monkeypatch.setattr(cli, "adjoint_decomposition", counting)
+    monkeypatch.setattr(finitegroups, "adjoint_decomposition", counting)
+    _run(capsys, ["hmodule", "--ellprime", "29", "--cache-dir", cache_dir])
+    assert len(calls) == 1
+
+
+def test_certify_replays_recipe_only_on_a_miss(capsys, cache_dir,
+                                               monkeypatch):
+    from g2rigid import cli
+    argv = ["certify", "--ell", "7,11", "--cache-dir", cache_dir]
+    code, cold, _ = _run(capsys, argv)
+    calls = []
+    original = cli.realize
+
+    def counting(recipe):
+        calls.append(recipe)
+        return original(recipe)
+
+    monkeypatch.setattr(cli, "realize", counting)
+    warm_code, warm, _ = _run(capsys, argv)
+    assert calls == []
+    assert (warm_code, _strip_duration(warm)) == (code, _strip_duration(cold))
+    # two misses in one run share a single replay
+    _run(capsys, ["certify", "--ell", "7,13,17", "--cache-dir", cache_dir])
+    assert len(calls) == 1
+
+
+def test_certify_refuses_ell_from_2_31(capsys, cache_dir):
+    code, doc, _ = _run(capsys, ["certify", "--ell", "7,2147483647,2147483659",
+                                 "--cache-dir", cache_dir])
+    assert code == 1
+    per_ell = doc["outputs"]["per_ell"]
+    assert [r["verdict"] for r in per_ell] == ["Generates", "Generates",
+                                                "Error"]
+    assert per_ell[2]["error"].startswith("TooLarge")
+    _, alone, _ = _run(capsys, ["certify", "--ell", "7",
+                                "--cache-dir", cache_dir + "-alone"])
+    assert per_ell[0] == alone["outputs"]["per_ell"][0]

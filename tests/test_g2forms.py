@@ -67,6 +67,34 @@ def test_enveloping_dim_small_example():
     assert enveloping_dim([diag]) == 2  # commutative algebra of diagonals
 
 
+def _unit(F, n, i, j):
+    m = Matrix.zero(F, n, n)
+    m.data[i][j] = F.one
+    return m
+
+
+@pytest.mark.parametrize("blocks,gens,dim", [
+    # E12, E21 give the 2 x 2 block; E23 then gives E13, E23; E33 = I - E11
+    # - E22.  Block upper triangular with blocks (2, 1): 4 + 2 + 1 = 7 < 9
+    ((2, 1), [(0, 1), (1, 0), (1, 2)], 7),
+    # blocks (2, 2): both diagonal blocks plus the upper-right block
+    # (E13 times the matrix units of the blocks): 4 + 4 + 4 = 12 < 16
+    ((2, 2), [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2)], 12),
+])
+def test_enveloping_dim_block_upper_triangular(blocks, gens, dim):
+    F = PrimeField(11)
+    n = sum(blocks)
+    mats = [_unit(F, n, i, j) for i, j in gens]
+    assert enveloping_dim(mats) == dim
+    # the dimension does not depend on the basis: conjugate by a fixed
+    # invertible matrix with generic entries
+    P = Matrix.from_ints(F, [[(3 * i + 5 * j + i * j + 1) % 11 if i <= j
+                              else (i + 2 * j) % 11 for j in range(n)]
+                             for i in range(n)])
+    Pi = P.inverse()
+    assert enveloping_dim([P * m * Pi for m in mats]) == dim
+
+
 @pytest.mark.parametrize("ell", [7, 11, 13])
 def test_generation_certificate_generates(triple, ell):
     rep = generation_certificate(reduce_mod(triple, ell))
