@@ -20,18 +20,19 @@ from fractions import Fraction
 import jsonschema
 
 from .cache import ResultCache, resolve_cache_dir
-from .convolution import (Recipe, RecipeFormatError, RecipeNotFound,
-                          SearchBounds, g2_recipe, realize, rigidity_index,
-                          local_profile, search_g2_recipe)
+from .convolution import (Recipe, SearchBounds, g2_recipe, is_g2_profile,
+                          local_profile, realize, rigidity_index,
+                          search_g2_recipe)
 from .counting import (DEFAULT_SERIES_NAIVE_BUDGET, chi_series, series_term,
                        ChiSeries)
-from .errors import (BadCharacteristic, BadResidue, NotInBase, NotOrdinary,
-                     TooLarge, TooSmallPrime)
+from .errors import (BadCharacteristic, BadResidue, DenominatorClash,
+                     InvalidCharacteristic, NotInBase, NotOrdinary,
+                     RecipeFormatError, RecipeNotFound, TooLarge,
+                     TooSmallPrime)
 from .finitegroups import (adjoint_decomposition, bigness_check, build_h56,
                            conjugacy_classes, sym_power_rep)
-from .g2forms import (DenominatorClash, _profile_json, generation_certificate,
+from .g2forms import (_profile_json, generation_certificate,
                       invariant_form_space, lie_stabilizer_dim, reduce_mod)
-from .rings import InvalidCharacteristic
 from .zeta import local_type_prediction, zeta_analysis
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas",
@@ -70,7 +71,7 @@ def _compute_triple_record(recipe):
     d2, f2 = invariant_form_space(t, 2)
     d3, f3 = invariant_form_space(t, 3)
     stab = lie_stabilizer_dim((f3[0], f2[0])) if d2 and d3 else -1
-    from .convolution import matches_g2_profile
+    profile = local_profile(t)
     return {
         "recipe": list(recipe.to_lines()),
         "matrices": [_matrix_json(m) for m in t.matrices],
@@ -78,8 +79,8 @@ def _compute_triple_record(recipe):
         "denominator": str(t.denominator()),
         "product_ok": t.product_relation_holds(),
         "rigidity_index": str(rigidity_index(t)),
-        "profile": _profile_json(local_profile(t)),
-        "profile_ok": matches_g2_profile(t),
+        "profile": _profile_json(profile),
+        "profile_ok": is_g2_profile(profile),
         "invariant_form_dims": [str(d2), str(d3)],
         "lie_stabilizer_dim": str(stab),
     }
@@ -134,7 +135,7 @@ def cmd_hmodule(args, cache):
         group = build_h56(args.ellprime)
         order = group.order
         classes = conjugacy_classes(group)
-        decomp = adjoint_decomposition(group)
+        decomp = adjoint_decomposition(group, classes)
         big = bigness_check(group, decomposition=decomp)
         return {
             "ellprime": str(args.ellprime),

@@ -12,28 +12,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrix import Matrix, columns_to_matrix
+from .errors import (DegenerateInput, InvalidLambda, InvalidScalar,
+                     RecipeFormatError, RecipeNotFound)
+from .matrix import Matrix, columns_to_matrix, partition_from_ranks
 from .rings import QQ
-
-
-class InvalidScalar(ValueError):
-    pass
-
-
-class InvalidLambda(ValueError):
-    pass
-
-
-class DegenerateInput(ValueError):
-    pass
-
-
-class RecipeNotFound(RuntimeError):
-    pass
-
-
-class RecipeFormatError(ValueError):
-    pass
 
 
 class RigidTuple:
@@ -45,6 +27,7 @@ class RigidTuple:
         self.matrices = list(matrices)
         self.ring = matrices[0].ring
         self.n = matrices[0].rows
+        self._a_infinity = None
         if check:
             for m in self.matrices:
                 if not m.is_square() or m.rows != self.n:
@@ -56,10 +39,13 @@ class RigidTuple:
         return len(self.matrices)
 
     def a_infinity(self) -> Matrix:
-        prod = Matrix.identity(self.ring, self.n)
-        for m in self.matrices:
-            prod = prod * m
-        return prod.inverse()
+        """(A_1 ... A_r)^-1, computed once per tuple."""
+        if self._a_infinity is None:
+            prod = Matrix.identity(self.ring, self.n)
+            for m in self.matrices:
+                prod = prod * m
+            self._a_infinity = prod.inverse()
+        return self._a_infinity
 
     def all_points(self):
         return self.matrices + [self.a_infinity()]
@@ -137,51 +123,42 @@ def local_profile(t: RigidTuple):
     artifact builds stay in that regime); any other charpoly factor is
     reported as ('other', leftover degree).
     """
-    out = []
     R = t.ring
-    for m in t.all_points():
-        entries = []
-        accounted = 0
-        for ev in (R.one, R.neg(R.one)):
-            if R.is_zero(m.charpoly_eval(ev)):
-                part = m.jordan_partition(ev)
-                if part:
-                    entries.append((R.to_str(ev), part))
-                    accounted += sum(part)
-        if accounted < m.rows:
-            entries.append(("other", (m.rows - accounted,)))
-        out.append(tuple(sorted(entries)))
-    return tuple(out)
+    return tuple(
+        point_profile(m.rows, [(R.to_str(ev),
+                                partition_from_ranks(m.rows, m.power_ranks(ev)))
+                               for ev in (R.one, R.neg(R.one))])
+        for m in t.all_points())
 
 
-def is_involution(m: Matrix) -> bool:
-    return (m * m).is_identity() and not m.is_identity() \
-        and not (-m).is_identity()
+def point_profile(n, partitions):
+    """Profile of one n x n point from its (eigenvalue label, Jordan
+    partition) pairs: the nonempty pairs, plus ('other', leftover degree)
+    when they do not fill the n dimensions, sorted."""
+    entries = [(label, part) for label, part in partitions if part]
+    accounted = sum(sum(part) for _, part in entries)
+    if accounted < n:
+        entries.append(("other", (n - accounted,)))
+    return tuple(sorted(entries))
 
 
-def unipotent_partition(m: Matrix):
-    """Jordan partition if m is unipotent, else None."""
-    R = m.ring
-    n = m.rows
-    nil = m - Matrix.identity(R, n)
-    if not (nil ** n).is_zero_matrix():
-        return None
-    return m.jordan_partition(R.one)
+def is_g2_profile(profile) -> bool:
+    """Whether a ``local_profile`` is the target one: an involution at 0
+    (two eigenvalue entries with all-ones partitions, no 'other'), a
+    unipotent [3,2,2] at 1 and a unipotent [7] at infinity."""
+    if len(profile) != 3:
+        return False
+    involution, unipotent, regular = profile
+    return (len(involution) == 2
+            and all(label != "other" and set(part) == {1}
+                    for label, part in involution)
+            and unipotent == (("1", (3, 2, 2)),)
+            and regular == (("1", (7,)),))
 
 
 def matches_g2_profile(t: RigidTuple) -> bool:
     """Rank 7; involution at 0; unipotent [3,2,2] at 1; unipotent [7] at inf."""
-    if t.n != 7 or t.r != 2:
-        return False
-    a0, a1 = t.matrices
-    ainf = t.a_infinity()
-    if not is_involution(a0):
-        return False
-    if unipotent_partition(a1) != (3, 2, 2):
-        return False
-    if unipotent_partition(ainf) != (7,):
-        return False
-    return True
+    return is_g2_profile(local_profile(t))
 
 
 # ---------------------------------------------------------------------------

@@ -23,3 +23,35 @@ class TooSmallPrime(ValueError):
 
 class NotInBase(ValueError):
     """The specialization parameter hits a puncture (s in {0, 1})."""
+
+
+class InvalidCharacteristic(ValueError):
+    """A prime field was asked for a modulus that is not an odd prime."""
+
+
+class DenominatorClash(ValueError):
+    """The prime divides a denominator of the tuple being reduced."""
+
+
+class NotAnEigenvalue(ValueError):
+    """A Jordan partition was asked for at a value that is no eigenvalue."""
+
+
+class InvalidScalar(ValueError):
+    """A twist scalar is zero or the scalar count is wrong."""
+
+
+class InvalidLambda(ValueError):
+    """The middle-convolution parameter is 0 or 1."""
+
+
+class DegenerateInput(ValueError):
+    """The tuple has no middle convolution (all identity, or rank 0)."""
+
+
+class RecipeNotFound(RuntimeError):
+    """No recipe realizes the target, or a supplied one fails its check."""
+
+
+class RecipeFormatError(ValueError):
+    """A recipe line cannot be parsed."""

@@ -6,9 +6,8 @@ representations of SL2, decomposition of conjugation modules, and the
 "bigness" conditions: adjoint cohomology vanishing in degrees 0 and 1
 plus the one-dimensional-eigenspace witness condition.
 
-Groups are generated and materialized as ``Matrix`` objects; all module
-work over F_ell runs on int64 arrays (``modlinalg``), each generator and
-element converted once, which bounds ell below 2^31.
+Generators, group elements and modules are int64 arrays mod p
+(``modlinalg``) from construction on, which bounds p below 2^31.
 """
 
 from __future__ import annotations
@@ -17,90 +16,91 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import (BadCharacteristic, BadResidue, NotOrdinary, TooLarge,
+                     TooSmallPrime)
 from .g2forms import enveloping_dim
-from .matrix import Matrix
 from .modlinalg import (annihilator, extend_basis, in_rowspace,
-                        intersect_rowspaces, inv_mod, matmul_mod,
-                        matrix_array, nullspace_mod, pivot_columns, rank_mod,
-                        row_basis, singular_shifts, span_closure)
-from .rings import PrimeField, is_prime
-
-
-from .errors import (BadCharacteristic, BadResidue, NotOrdinary,  # noqa: F401
-                     TooLarge, TooSmallPrime)
+                        intersect_rowspaces, inv_mod, matmul_mod, mod_array,
+                        nullspace_mod, pivot_columns, rank_mod, row_basis,
+                        singular_shifts, span_closure)
+from .rings import is_prime
 
 DEFAULT_ORDER_BOUND = 100000
 
 
 class FiniteMatrixGroup:
-    """Matrix group given by generators; elements materialized on demand."""
+    """Group of n x n matrices mod p given by a (k, n, n) generator stack;
+    elements materialized on demand."""
 
-    def __init__(self, field_, dim, generators, name="group"):
-        self.field = field_
-        self.dim = dim
-        self.generators = list(generators)
-        self.name = name
+    def __init__(self, p, generators):
+        self.p = p
+        self.generators = mod_array(generators, p)
         self._elements = None
-        self._arrays = None
 
     def materialize(self, bound=DEFAULT_ORDER_BOUND):
-        """Closure under products, breadth-first from the identity."""
+        """Element stack, closed under products, breadth-first from the
+        identity (element 0)."""
         if self._elements is not None:
             return self._elements
-        ident = Matrix.identity(self.field, self.dim)
-        seen = {ident: 0}
+        n = self.generators.shape[1]
+        ident = np.eye(n, dtype=np.int64)
+        seen = {ident.tobytes()}
         order = [ident]
         frontier = [ident]
         while frontier:
-            nxt = []
-            for m in frontier:
-                for g in self.generators:
-                    prod = m * g
-                    if prod not in seen:
-                        if len(order) >= bound:
-                            raise TooLarge(
-                                f"group exceeds order bound {bound}")
-                        seen[prod] = len(order)
-                        order.append(prod)
-                        nxt.append(prod)
-            frontier = nxt
-        self._elements = order
-        return order
+            front = np.stack(frontier)
+            # products m * g, by frontier element m, then generator g
+            prods = np.stack([matmul_mod(front, g, self.p)
+                              for g in self.generators], axis=1)
+            frontier = []
+            for prod in prods.reshape(-1, n, n):
+                key = prod.tobytes()
+                if key not in seen:
+                    if len(order) >= bound:
+                        raise TooLarge(f"group exceeds order bound {bound}")
+                    seen.add(key)
+                    order.append(prod)
+                    frontier.append(prod)
+        self._elements = np.stack(order)
+        return self._elements
 
     @property
     def order(self):
         return len(self.materialize())
 
-    def arrays(self):
-        """Generators and materialized elements as int64 stacks mod p."""
-        if self._arrays is None:
-            self._arrays = (
-                np.stack([matrix_array(g) for g in self.generators]),
-                np.stack([matrix_array(m) for m in self.materialize()]))
-        return self._arrays
+
+def _positions(elements, mats):
+    """Index in the element stack of each matrix of the stack ``mats``."""
+    index = {m.tobytes(): i for i, m in enumerate(elements)}
+    return [index[m.tobytes()] for m in mats]
 
 
 def conjugacy_classes(group: FiniteMatrixGroup):
     """Partition of the element list into conjugacy classes (orbit search)."""
+    p = group.p
     elements = group.materialize()
-    index = {m: i for i, m in enumerate(elements)}
-    assigned = [None] * len(elements)
+    conj = []  # conj[s][i]: index of g_s x_i g_s^-1
+    for g in group.generators:
+        # g X as (X^T g^T)^T: matmul_mod takes the batch on the left
+        left = matmul_mod(elements.transpose(0, 2, 1), g.T, p)
+        conj.append(_positions(elements, matmul_mod(
+            left.transpose(0, 2, 1), inv_mod(g, p), p)))
+    assigned = [False] * len(elements)
     classes = []
-    for i, m in enumerate(elements):
-        if assigned[i] is not None:
+    for i in range(len(elements)):
+        if assigned[i]:
             continue
         cls = [i]
-        assigned[i] = len(classes)
-        frontier = [m]
+        assigned[i] = True
+        frontier = [i]
         while frontier:
             x = frontier.pop()
-            for g in group.generators:
-                y = g * x * g.inverse()
-                j = index[y]
-                if assigned[j] is None:
-                    assigned[j] = len(classes)
+            for perm in conj:
+                j = perm[x]
+                if not assigned[j]:
+                    assigned[j] = True
                     cls.append(j)
-                    frontier.append(y)
+                    frontier.append(j)
         classes.append(sorted(cls))
     return classes
 
@@ -147,7 +147,6 @@ def build_h56(ellprime: int) -> FiniteMatrixGroup:
         raise BadResidue(f"{ellprime} is not a prime congruent to 1 mod 7")
     if 56 % ellprime == 0:
         raise BadCharacteristic(f"{ellprime} divides the group order 56")
-    F = PrimeField(ellprime)
     gen = 2  # the class of z generates the multiplicative group
     labels = []
     t = 1
@@ -156,15 +155,13 @@ def build_h56(ellprime: int) -> FiniteMatrixGroup:
         t = _f8_mul(t, gen)
     pos = {t: i for i, t in enumerate(labels)}
     # translation by u = 1: diagonal of character values psi_t(1) = (-1)^tr(t)
-    diag = Matrix.zero(F, 7, 7)
-    for i, t in enumerate(labels):
-        diag.data[i][i] = F.from_int(-1 if _f8_trace(t) else 1)
+    diag = np.diag([-1 if _f8_trace(t) else 1 for t in labels])
     # multiplication by gen: e_t -> e_{t * gen^-1}
     gi = _f8_inv(gen)
-    perm = Matrix.zero(F, 7, 7)
+    perm = np.zeros((7, 7), dtype=np.int64)
     for i, t in enumerate(labels):
-        perm.data[pos[_f8_mul(t, gi)]][i] = F.one
-    return FiniteMatrixGroup(F, 7, [diag, perm], name="h56")
+        perm[pos[_f8_mul(t, gi)], i] = 1
+    return FiniteMatrixGroup(ellprime, [diag, perm])
 
 
 # ---------------------------------------------------------------------------
@@ -172,37 +169,24 @@ def build_h56(ellprime: int) -> FiniteMatrixGroup:
 
 @dataclass
 class Sl2SymRep:
-    """SL2(F_ell) on degree-m binary forms, given by two unipotent generators."""
+    """SL2(F_ell) on degree-m binary forms, given by two unipotent
+    generators (a (2, m + 1, m + 1) int64 stack mod ell)."""
 
-    field: PrimeField
-    dim: int
-    generators: list
+    p: int
+    generators: np.ndarray
     m: int
 
 
-def _sym_power_matrix(F, a, b, c, d, m):
+def _sym_power_matrix(a, b, c, d, m, p):
     """Action of [[a,b],[c,d]] on the basis x^(m-i) y^i, columns = images."""
-    n = m + 1
-    out = Matrix.zero(F, n, n)
-    for i in range(n):
-        # (a x + c y)^(m-i) (b x + d y)^i, coefficients by double expansion
-        poly = {0: F.one}  # degree in y -> coefficient
-        for _ in range(m - i):
-            poly = _lin_mul(F, poly, a, c)
-        for _ in range(i):
-            poly = _lin_mul(F, poly, b, d)
-        for j, coeff in poly.items():
-            out.data[j][i] = coeff
+    out = np.zeros((m + 1, m + 1), dtype=np.int64)
+    for i in range(m + 1):
+        # (a x + c y)^(m-i) (b x + d y)^i, coefficients by degree in y
+        poly = np.ones(1, dtype=np.int64)
+        for u, v in [(a, c)] * (m - i) + [(b, d)] * i:
+            poly = np.convolve(poly, [u, v]) % p
+        out[:, i] = poly
     return out
-
-
-def _lin_mul(F, poly, u, v):
-    """Multiply a polynomial in y (coeff dict) by (u x + v y), tracking y-degree."""
-    out = {}
-    for j, c in poly.items():
-        out[j] = F.add(out.get(j, F.zero), F.mul(c, u))
-        out[j + 1] = F.add(out.get(j + 1, F.zero), F.mul(c, v))
-    return {j: c for j, c in out.items() if not F.is_zero(c)}
 
 
 def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
@@ -210,10 +194,9 @@ def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
         raise BadCharacteristic(f"need an odd prime, got {ell}")
     if ell <= 2 * m + 1:
         raise TooSmallPrime(f"need ell > {2 * m + 1}, got {ell}")
-    F = PrimeField(ell)
-    upper = _sym_power_matrix(F, 1, 1, 0, 1, m)
-    lower = _sym_power_matrix(F, 1, 0, 1, 1, m)
-    return Sl2SymRep(field=F, dim=m + 1, generators=[upper, lower], m=m)
+    upper = _sym_power_matrix(1, 1, 0, 1, m, ell)
+    lower = _sym_power_matrix(1, 0, 1, 1, m, ell)
+    return Sl2SymRep(p=ell, generators=mod_array([upper, lower], ell), m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +343,7 @@ class DecompositionReport:
         }
 
 
-def adjoint_decomposition(rep) -> DecompositionReport:
+def adjoint_decomposition(rep, classes=None) -> DecompositionReport:
     """Direct-sum decomposition of the conjugation action on n x n matrices.
 
     The module is split along eigenspaces of explicit equivariant
@@ -368,19 +351,22 @@ def adjoint_decomposition(rep) -> DecompositionReport:
     from generator logs for the symmetric-power SL2 case), and each piece
     is certified by composition splitting plus the full-matrix-algebra
     criterion for the irreducible leaves.
+
+    ``classes`` are the group's ``conjugacy_classes`` when the caller
+    already has them; otherwise they are computed here.
     """
     if isinstance(rep, Sl2SymRep):
-        p = rep.field.p
-        gens = [matrix_array(g) for g in rep.generators]
+        p, gens = rep.p, rep.generators
         ops = [_casimir_on_adjoint(gens, p)]
     elif isinstance(rep, FiniteMatrixGroup):
-        p = rep.field.p
-        gens, elements = rep.arrays()
+        p, gens, elements = rep.p, rep.generators, rep.materialize()
         if len(elements) % p == 0:
             raise NotOrdinary(
                 f"characteristic {p} divides the group order {len(elements)}")
+        if classes is None:
+            classes = conjugacy_classes(rep)
         ops = [sum(adjoint_action(elements[i], p) for i in cls) % p
-               for cls in conjugacy_classes(rep)]
+               for cls in classes]
     else:
         raise TypeError("expected a matrix group or symmetric-power rep")
 
@@ -425,37 +411,32 @@ def adjoint_decomposition(rep) -> DecompositionReport:
 # ---------------------------------------------------------------------------
 # adjoint cohomology and the bigness certificate
 
-def fixed_space_dim(group: FiniteMatrixGroup, trace_zero=True,
-                    use_all_elements=False) -> int:
-    """Dimension of the conjugation-fixed subspace of (trace-zero) matrices."""
-    p = group.field.p
-    n = group.dim
-    gens, elements = group.arrays()
+def fixed_space_dim(group: FiniteMatrixGroup) -> int:
+    """Dimension of the conjugation-fixed subspace of trace-zero matrices."""
+    p = group.p
+    n = group.generators.shape[1]
     eye = np.eye(n * n, dtype=np.int64)
-    rows = [(adjoint_action(g, p) - eye) % p
-            for g in (elements if use_all_elements else gens)]
-    if trace_zero:
-        rows.append(np.eye(n, dtype=np.int64).reshape(1, -1))
+    rows = [(adjoint_action(g, p) - eye) % p for g in group.generators]
+    rows.append(np.eye(n, dtype=np.int64).reshape(1, -1))  # the trace
     return n * n - rank_mod(np.concatenate(rows), p)
 
 
-def h1_dim(group: FiniteMatrixGroup) -> int:
+def h1_dim(group: FiniteMatrixGroup, h0=None) -> int:
     """dim H^1(G, trace-zero conjugation module) by cocycle propagation.
 
     A cocycle f with f(gh) = f(g)·h + f(h) is determined by its values on
     the generators; propagating those symbolic values over the Cayley
     graph and collecting the consistency equations cuts out the cocycle
-    space, from which the coboundary dimension is subtracted.
+    space, from which the coboundary dimension is subtracted.  ``h0`` is
+    ``fixed_space_dim(group)`` when the caller already has it.
     """
-    p = group.field.p
-    n = group.dim
+    p = group.p
+    gens, elements = group.generators, group.materialize()
+    n = gens.shape[1]
     n2 = n * n
-    gens, elements = group.arrays()
     k = len(gens)
-    index = {m.tobytes(): i for i, m in enumerate(elements)}
     # right Cayley graph: times[si][gi] is the index of element gi * gen si
-    times = [[index[m.tobytes()] for m in matmul_mod(elements, s, p)]
-             for s in gens]
+    times = [_positions(elements, matmul_mod(elements, s, p)) for s in gens]
     # right action matrices X -> g^-1 X g
     acts = [adjoint_action(inv_mod(g, p), p) for g in gens]
     unknowns = k * n2
@@ -467,9 +448,8 @@ def h1_dim(group: FiniteMatrixGroup) -> int:
             trace_rows[si, si * n2 + i * n + i] = 1
     relations = row_basis(trace_rows, p)
     expr = [None] * len(elements)
-    ident_idx = index[np.eye(n, dtype=np.int64).tobytes()]
-    expr[ident_idx] = np.zeros((n2, unknowns), dtype=np.int64)
-    frontier = [ident_idx]
+    expr[0] = np.zeros((n2, unknowns), dtype=np.int64)  # the identity
+    frontier = [0]
     while frontier:
         nxt = []
         for gi in frontier:
@@ -486,8 +466,10 @@ def h1_dim(group: FiniteMatrixGroup) -> int:
                     if diff.any():
                         relations, _ = extend_basis(relations, diff, p)
         frontier = nxt
+    if h0 is None:
+        h0 = fixed_space_dim(group)
     z1 = unknowns - relations.shape[0]
-    b1 = (n2 - 1) - fixed_space_dim(group, trace_zero=True)
+    b1 = (n2 - 1) - h0
     return z1 - b1
 
 
@@ -600,11 +582,9 @@ def bigness_check(group: FiniteMatrixGroup, bound=DEFAULT_ORDER_BOUND,
     ``decomposition`` is the group's ``adjoint_decomposition`` when the
     caller already has it; otherwise it is computed here.
     """
-    p = group.field.p
-    group.materialize(bound)
-    gens, elements = group.arrays()
-    h0 = fixed_space_dim(group, trace_zero=True)
-    h1 = h1_dim(group)
+    p, gens, elements = group.p, group.generators, group.materialize(bound)
+    h0 = fixed_space_dim(group)
+    h1 = h1_dim(group, h0)
     if decomposition is None:
         try:
             decomposition = adjoint_decomposition(group)

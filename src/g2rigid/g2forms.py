@@ -7,21 +7,19 @@ coordinates sit at indices 4, 5, 6.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .convolution import RigidTuple, local_profile
-from .matrix import Matrix
-from .modlinalg import matmul_mod, matrix_array, span_closure
-from .rings import QQ, PrimeField
-
-
-class DenominatorClash(ValueError):
-    pass
-
+from .convolution import RigidTuple, is_g2_profile, point_profile
+from .errors import DenominatorClash
+from .matrix import Matrix, partition_from_ranks
+from .modlinalg import matmul_mod, mod_array, rank_mod, span_closure
+from .rings import QQ, require_odd_prime
 
 DIM = 7
 
@@ -104,10 +102,6 @@ class TrilinearForm:
         keys = set(self.entries) | set(other.entries)
         return all(R.eq(self.coeff(*k), other.coeff(*k)) for k in keys)
 
-    def map_ring(self, ring, fn) -> "TrilinearForm":
-        return TrilinearForm(ring, {k: fn(v) for k, v in self.entries.items()},
-                             alternating=self.alternating)
-
 
 class BilinearForm:
     """Symmetric 7x7 Gram matrix over an exact ring."""
@@ -131,9 +125,6 @@ class BilinearForm:
 
     def equals(self, other) -> bool:
         return self.gram == other.gram
-
-    def map_ring(self, ring, fn) -> "BilinearForm":
-        return BilinearForm(self.gram.map_entries(ring, fn))
 
 
 def dickson_form(ring=QQ) -> TrilinearForm:
@@ -182,6 +173,36 @@ def _alt3_basis():
             for k in range(j + 1, DIM)]
 
 
+def _invariance_system(mats, degree, mul):
+    """Linear system whose kernel is the space of forms of the given degree
+    fixed by every matrix in ``mats``.
+
+    Unknowns are coefficients on the basis tensors T_c: e_k e_l^T + e_l
+    e_k^T for c = (k, l) in degree 2, the alternating tensors of the
+    monomials c = (i, j, k) in degree 3.  The block of a matrix A has at
+    row r and column c the entry at index r of the pullback of T_c by A,
+    minus that of T_c: f(A[c, r]) - f(I[c, r]), where f is the permanent
+    (degree 2) or the determinant (degree 3) of the submatrix on rows c
+    and columns r.  ``mul`` multiplies entries; over F_ell it reduces
+    after each product, so entries below 2^31 stay exact in int64.
+    """
+    if degree not in (2, 3):
+        raise ValueError("degree must be 2 or 3")
+    index = np.array(_sym2_basis() if degree == 2 else _alt3_basis())
+    rows, cols = index[:, None, :], index[None, :, :]
+
+    def f(A):
+        total = 0
+        for perm in itertools.permutations(range(degree)):
+            sign = 1 if degree == 2 else _perm_sign((0, 1, 2), perm)
+            terms = (A[cols[..., perm[s]], rows[..., s]] for s in range(degree))
+            total = total + sign * functools.reduce(mul, terms)
+        return total
+
+    eye = f(np.eye(DIM, dtype=np.int64))
+    return np.concatenate([f(A) - eye for A in mats])
+
+
 def invariant_form_space(t: RigidTuple, degree: int):
     """Dimension and basis of tuple-invariant forms.
 
@@ -193,65 +214,29 @@ def invariant_form_space(t: RigidTuple, degree: int):
     R = t.ring
     if t.n != DIM:
         raise ValueError("invariant forms implemented for rank 7")
+    mats = [np.array(A.data, dtype=object) for A in t.matrices]
+    null = Matrix(R, _invariance_system(mats, degree, operator.mul).tolist()
+                  ).nullspace()
+    forms = []
     if degree == 2:
-        basis = _sym2_basis()
-        rows = []
-        for A in t.matrices:
-            cols = []
-            for (k, l) in basis:
-                S = Matrix.zero(R, DIM, DIM)
-                S.data[k][l] = R.add(S.data[k][l], R.one)
-                S.data[l][k] = R.add(S.data[l][k], R.one)
-                D = A.transpose() * S * A - S
-                cols.append([D.data[i][j] for (i, j) in basis])
-            for r in range(len(basis)):
-                rows.append([cols[c][r] for c in range(len(basis))])
-        sysm = Matrix(R, rows)
-        null = sysm.nullspace()
-        forms = []
         for v in null:
             # same basis tensors as the system: e_k e_l^T + e_l e_k^T
             S = Matrix.zero(R, DIM, DIM)
-            for coeff, (k, l) in zip(v, basis):
+            for coeff, (k, l) in zip(v, _sym2_basis()):
                 S.data[k][l] = R.add(S.data[k][l], coeff)
                 S.data[l][k] = R.add(S.data[l][k], coeff)
             forms.append(BilinearForm(S))
         return len(null), forms
-    if degree == 3:
-        basis = _alt3_basis()
-        index = {b: n for n, b in enumerate(basis)}
-        rows = []
-        for A in t.matrices:
-            cols = []
-            for mono in basis:
-                entries = {perm: (R.one if _perm_sign(mono, perm) == 1
-                                  else R.neg(R.one))
-                           for perm in itertools.permutations(mono)}
-                T = TrilinearForm(R, entries)
-                TT = T.transform(A)
-                col = [R.zero] * len(basis)
-                for (i, j, k), v in TT.entries.items():
-                    if i < j < k:
-                        col[index[(i, j, k)]] = v
-                # subtract the original tensor
-                col[index[mono]] = R.sub(col[index[mono]], R.one)
-                cols.append(col)
-            for r in range(len(basis)):
-                rows.append([cols[c][r] for c in range(len(basis))])
-        sysm = Matrix(R, rows)
-        null = sysm.nullspace()
-        forms = []
-        for v in null:
-            entries = {}
-            for coeff, mono in zip(v, basis):
-                if R.is_zero(coeff):
-                    continue
-                for perm in itertools.permutations(mono):
-                    entries[perm] = (coeff if _perm_sign(mono, perm) == 1
-                                     else R.neg(coeff))
-            forms.append(TrilinearForm(R, entries))
-        return len(null), forms
-    raise ValueError("degree must be 2 or 3")
+    for v in null:
+        entries = {}
+        for coeff, mono in zip(v, _alt3_basis()):
+            if R.is_zero(coeff):
+                continue
+            for perm in itertools.permutations(mono):
+                entries[perm] = (coeff if _perm_sign(mono, perm) == 1
+                                 else R.neg(coeff))
+        forms.append(TrilinearForm(R, entries))
+    return len(null), forms
 
 
 def lie_stabilizer_dim(forms) -> int:
@@ -304,9 +289,19 @@ def trilinear_scalar_stabilizers(field, tri=None):
 # ---------------------------------------------------------------------------
 # reduction mod l and generation
 
-def reduce_mod(t: RigidTuple, ell: int) -> RigidTuple:
-    """Entrywise reduction of a tuple over Q to F_ell (ell odd, ell not | N)."""
-    F = PrimeField(ell)  # rejects ell = 2 / composite
+@dataclass
+class ReducedTuple:
+    """A tuple over Q reduced mod ell: A_1, ..., A_r and A_inf (last) as
+    an (r + 1, n, n) int64 stack with entries in [0, ell)."""
+
+    ell: int
+    points: np.ndarray
+
+
+def reduce_mod(t: RigidTuple, ell: int) -> ReducedTuple:
+    """Entrywise reduction of a tuple over Q, A_inf included, to F_ell
+    (ell an odd prime below 2^31 that divides no denominator)."""
+    require_odd_prime(ell)
     N = t.denominator()
     if N % ell == 0:
         raise DenominatorClash(f"{ell} divides the tuple denominator {N}")
@@ -315,25 +310,46 @@ def reduce_mod(t: RigidTuple, ell: int) -> RigidTuple:
         fr = Fraction(x)
         return (fr.numerator * pow(fr.denominator, ell - 2, ell)) % ell
 
-    out = RigidTuple([m.map_entries(F, red) for m in t.matrices])
-    if not out.product_relation_holds():
-        raise AssertionError("product relation lost under reduction")
-    return out
+    return ReducedTuple(ell, mod_array(
+        [[[red(x) for x in row] for row in m.data] for m in t.all_points()],
+        ell))
 
 
-def enveloping_dim(mats, p=None) -> int:
+def _profile_mod(points, ell):
+    """``local_profile`` of reduced points: the Jordan partitions of the
+    eigenvalues 1 and -1 (labelled ell - 1) from the ranks of the powers
+    of A - eps I."""
+    n = points.shape[1]
+    return tuple(
+        point_profile(n, [(str(eps), partition_from_ranks(
+            n, _power_ranks_mod(A, eps, ell))) for eps in (1, ell - 1)])
+        for A in points)
+
+
+def _power_ranks_mod(A, eps, ell):
+    """Ranks mod ell of (A - eps I)^j for j = 1, 2, ... (endless)."""
+    shift = (A - eps * np.eye(A.shape[0], dtype=np.int64)) % ell
+    power = shift
+    while True:
+        yield rank_mod(power, ell)
+        power = matmul_mod(power, shift, ell)
+
+
+def _invariant_dim_mod(mats, degree, ell):
+    """Dimension of the forms of the given degree fixed by ``mats`` mod ell."""
+    system = _invariance_system(mats, degree, lambda x, y: x * y % ell)
+    return system.shape[1] - rank_mod(system, ell)
+
+
+def enveloping_dim(mats, p) -> int:
     """Dimension of the matrix algebra generated by the given matrices.
 
-    ``mats`` are Matrix objects over a prime field, converted to int64
-    arrays here, or arrays mod ``p`` when ``p`` is given.  The algebra is
-    spanned level by level from the identity: each level is the new part
-    of the previous one times every generator.
+    ``mats`` are int64 arrays mod ``p``.  The algebra is spanned level by
+    level from the identity: each level is the new part of the previous
+    one times every generator.
     """
-    if not mats:
+    if len(mats) == 0:
         return 0
-    if p is None:
-        p = mats[0].ring.p
-        mats = [matrix_array(m) for m in mats]
     n = mats[0].shape[0]
 
     def products(front):
@@ -378,7 +394,7 @@ def _profile_json(profile):
             for point in profile]
 
 
-def generation_certificate(t: RigidTuple) -> GenerationReport:
+def generation_certificate(t: ReducedTuple) -> GenerationReport:
     """Feit--Fong--Thompson style certificate for a triple over F_ell.
 
     Generates iff ell > 5, the Jordan profile is (involution, [3,2,2]
@@ -386,28 +402,28 @@ def generation_certificate(t: RigidTuple) -> GenerationReport:
     algebra is all of 7x7 matrices, and invariant forms of degree 2 and 3
     exist mod ell.
     """
-    from .convolution import matches_g2_profile
-
-    ring = t.ring
-    if not isinstance(ring, PrimeField):
+    if not isinstance(t, ReducedTuple):
         raise ValueError("generation certificate expects a tuple over F_ell")
-    ell = ring.p
+    ell, points = t.ell, t.points
+    n = points.shape[1]
+    finite = points[:-1]
     reasons = []
-    profile = local_profile(t)
+    profile = _profile_mod(points, ell)
     ell_gt_5 = ell > 5
     if not ell_gt_5:
         reasons.append(f"criterion requires ell > 5, got {ell}")
-    product_ok = t.product_relation_holds()
+    product = functools.reduce(lambda a, b: matmul_mod(a, b, ell), points)
+    product_ok = np.array_equal(product, np.eye(n, dtype=np.int64))
     if not product_ok:
         reasons.append("product relation fails")
-    profile_ok = matches_g2_profile(t)
+    profile_ok = is_g2_profile(profile)
     if not profile_ok:
         reasons.append("Jordan profile differs from the target triple")
-    env = enveloping_dim(t.matrices)
+    env = enveloping_dim(finite, ell)
     if env != 49:
         reasons.append(f"enveloping algebra has dimension {env}, not 49")
-    d2, _ = invariant_form_space(t, 2) if t.n == DIM else (0, [])
-    d3, _ = invariant_form_space(t, 3) if t.n == DIM else (0, [])
+    d2, d3 = (_invariant_dim_mod(finite, degree, ell) if n == DIM else 0
+              for degree in (2, 3))
     if d2 < 1:
         reasons.append("no invariant bilinear form mod ell")
     if d3 < 1:

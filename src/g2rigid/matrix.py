@@ -7,11 +7,8 @@ nullspace by exact elimination, a division-free characteristic polynomial
 
 from __future__ import annotations
 
+from .errors import NotAnEigenvalue
 from .rings import QQ
-
-
-class NotAnEigenvalue(ValueError):
-    pass
 
 
 class Matrix:
@@ -79,11 +76,6 @@ class Matrix:
         return all(R.eq(a, b) for ra, rb in zip(self.data, other.data)
                    for a, b in zip(ra, rb))
 
-    def __hash__(self):
-        R = self.ring
-        return hash((self.rows, self.cols,
-                     tuple(tuple(R.to_str(x) for x in row) for row in self.data)))
-
     def __add__(self, other):
         R = self.ring
         return Matrix(R, [[R.add(a, b) for a, b in zip(ra, rb)]
@@ -144,23 +136,6 @@ class Matrix:
     def is_zero_matrix(self):
         R = self.ring
         return all(R.is_zero(a) for row in self.data for a in row)
-
-    def __pow__(self, e):
-        if not self.is_square():
-            raise ValueError("power of non-square matrix")
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Matrix.identity(self.ring, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def map_entries(self, ring, fn):
-        return Matrix(ring, [[fn(a) for a in row] for row in self.data])
 
     # -- elimination --------------------------------------------------------
 
@@ -314,24 +289,15 @@ class Matrix:
             raise ValueError("jordan_partition of non-square matrix")
         if not R.is_zero(self.charpoly_eval(eigenvalue)):
             raise NotAnEigenvalue(f"{eigenvalue!r} is not an eigenvalue")
-        n = self.rows
-        B = self - Matrix.scalar(R, n, eigenvalue)
-        ranks = [n]
-        P = Matrix.identity(R, n)
-        for _ in range(n):
-            P = P * B
-            r = P.rank()
-            ranks.append(r)
-            if r == ranks[-2]:
-                break
-        while len(ranks) < n + 2:
-            ranks.append(ranks[-1])
-        parts = []
-        for j in range(1, n + 1):
-            count = ranks[j - 1] - 2 * ranks[j] + ranks[j + 1]
-            parts.extend([j] * count)
-        parts.sort(reverse=True)
-        return tuple(parts)
+        return partition_from_ranks(self.rows, self.power_ranks(eigenvalue))
+
+    def power_ranks(self, eigenvalue):
+        """Ranks of (self - eigenvalue)^j for j = 1, 2, ... (endless)."""
+        shift = self - Matrix.scalar(self.ring, self.rows, eigenvalue)
+        power = shift
+        while True:
+            yield power.rank()
+            power = power * shift
 
     def to_str_rows(self):
         R = self.ring
@@ -353,17 +319,24 @@ def _matvec(R, M, v):
     return [_dot(R, row, v) for row in M]
 
 
-def charpoly(M: Matrix):
-    return M.charpoly()
+def partition_from_ranks(n, ranks):
+    """Jordan block sizes (decreasing) of one eigenvalue of an n x n matrix.
 
-
-def jordan_partition(M: Matrix, eigenvalue):
-    return M.jordan_partition(eigenvalue)
-
-
-def nullspace(M: Matrix):
-    basis = M.nullspace()
-    return basis, len(basis)
+    ``ranks`` yields r_j, the rank of (matrix - eigenvalue)^j, for j = 1,
+    2, ...; it is read until two consecutive ranks agree (r_0 = n).  There
+    are r_{j-1} - 2 r_j + r_{j+1} blocks of size j, none when the value is
+    no eigenvalue.
+    """
+    r = [n]
+    for rank in ranks:
+        r.append(rank)
+        if rank == r[-2]:
+            break
+    r += [r[-1]] * (n + 2 - len(r))
+    parts = []
+    for j in range(1, n + 1):
+        parts.extend([j] * (r[j - 1] - 2 * r[j] + r[j + 1]))
+    return tuple(sorted(parts, reverse=True))
 
 
 def rational_matrix(data) -> Matrix:

@@ -1,9 +1,9 @@
 """Dense linear algebra over F_p on numpy int64 arrays.
 
-All F_p module work runs here on int64 arrays with entries in [0, p):
-adjoint actions, eigenspace and composition splitting, spin-up, the
-enveloping algebra and the bigness certificate.  A ``Matrix`` over a
-prime field is converted once, at the boundary, by ``matrix_array``.
+This is the one backend for F_p: the groups and their adjoint modules,
+spin-up, the enveloping algebra, the bigness certificate and the mod-l
+generation certificate all run on int64 arrays with entries in [0, p),
+from the generators (or the reduction of a tuple over Q) to the verdict.
 Every matrix product goes through ``matmul_mod``, which is exact for any
 prime p < 2^31 (``MAX_MODULUS``); larger moduli are refused with
 ``TooLarge``, since there a single product (p - 1)^2 overflows int64.
@@ -28,12 +28,6 @@ def _check_modulus(p):
                        "would overflow")
 
 
-def matrix_array(M):
-    """Entries of a Matrix over a prime field as an int64 array mod p."""
-    _check_modulus(M.ring.p)
-    return np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols) % M.ring.p
-
-
 def matmul_mod(a, b, p):
     """a @ b mod p for entries in [0, p), exact for every p < 2^31.
 
@@ -52,7 +46,9 @@ def matmul_mod(a, b, p):
     return out
 
 
-def _as_mod_array(rows, p):
+def mod_array(rows, p):
+    """Integer entries (a vector becomes one row) as an int64 array mod p;
+    refuses p >= 2^31."""
     _check_modulus(p)
     a = np.array(rows, dtype=np.int64)
     if a.ndim == 1:
@@ -62,7 +58,7 @@ def _as_mod_array(rows, p):
 
 def rref_mod(rows, p):
     """Reduced row echelon form mod p; returns (array, pivot columns)."""
-    a = _as_mod_array(rows, p)
+    a = mod_array(rows, p)
     m, n = a.shape
     pivots = []
     r = 0
@@ -114,7 +110,7 @@ def annihilator(rows, p):
 
 def inv_mod(a, p):
     """Inverse of a square matrix mod p (raises ZeroDivisionError if singular)."""
-    a = _as_mod_array(a, p)
+    a = mod_array(a, p)
     n = a.shape[0]
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)
     r, pivots = rref_mod(aug, p)
@@ -147,8 +143,8 @@ def in_rowspace(basis, v, p):
 
 def intersect_rowspaces(u, v, p):
     """Basis of the intersection of two row spaces."""
-    u = _as_mod_array(u, p)
-    v = _as_mod_array(v, p)
+    u = mod_array(u, p)
+    v = mod_array(v, p)
     if u.shape[0] == 0 or v.shape[0] == 0:
         return np.zeros((0, u.shape[1]), dtype=np.int64)
     w = np.concatenate([u, (-v) % p], axis=0)

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-class InvalidCharacteristic(ValueError):
-    pass
+from .errors import InvalidCharacteristic
 
 
 def is_prime(n: int) -> bool:
@@ -27,6 +25,11 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
+
+
+def require_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise InvalidCharacteristic(f"need an odd prime, got {p}")
 
 
 class Rationals:
@@ -87,8 +90,7 @@ class PrimeField:
     """F_p for an odd prime p; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p == 2 or not is_prime(p):
-            raise InvalidCharacteristic(f"need an odd prime, got {p}")
+        require_odd_prime(p)
         self.p = p
         self.char = p
         self.size = p

@@ -194,14 +194,35 @@ def test_hmodule_decomposes_once(capsys, cache_dir, monkeypatch):
     calls = []
     original = finitegroups.adjoint_decomposition
 
-    def counting(rep):
+    def counting(rep, *args):
         calls.append(rep)
-        return original(rep)
+        return original(rep, *args)
 
     monkeypatch.setattr(cli, "adjoint_decomposition", counting)
     monkeypatch.setattr(finitegroups, "adjoint_decomposition", counting)
     _run(capsys, ["hmodule", "--ellprime", "29", "--cache-dir", cache_dir])
     assert len(calls) == 1
+
+
+def test_hmodule_computes_classes_and_h0_once(capsys, cache_dir,
+                                              monkeypatch):
+    from g2rigid import cli, finitegroups
+    calls = []
+
+    def counted(name):
+        original = getattr(finitegroups, name)
+
+        def counting(group, *args, **kwargs):
+            calls.append(name)
+            return original(group, *args, **kwargs)
+        return counting
+
+    for module, name in ((cli, "conjugacy_classes"),
+                         (finitegroups, "conjugacy_classes"),
+                         (finitegroups, "fixed_space_dim")):
+        monkeypatch.setattr(module, name, counted(name))
+    _run(capsys, ["hmodule", "--ellprime", "29", "--cache-dir", cache_dir])
+    assert sorted(calls) == ["conjugacy_classes", "fixed_space_dim"]
 
 
 def test_certify_replays_recipe_only_on_a_miss(capsys, cache_dir,

@@ -4,11 +4,10 @@ import pytest
 
 from g2rigid.convolution import (DegenerateInput, G2_RECIPE_LINES,
                                  InvalidLambda, Recipe, RecipeFormatError,
-                                 RigidTuple, g2_recipe, is_involution,
-                                 local_profile, matches_g2_profile,
-                                 middle_convolution, realize, rigidity_index,
-                                 rotate_points, scalar_twist, seed_tuple,
-                                 swap_points, unipotent_partition)
+                                 RigidTuple, g2_recipe, local_profile,
+                                 matches_g2_profile, middle_convolution,
+                                 realize, rigidity_index, rotate_points,
+                                 scalar_twist, seed_tuple, swap_points)
 from g2rigid.matrix import rational_matrix
 
 
@@ -42,14 +41,14 @@ def test_triple_rank_and_rigidity(triple):
 
 
 def test_triple_jordan_profile(triple):
-    a0, a1 = triple.matrices
-    ainf = triple.a_infinity()
-    assert is_involution(a0)
+    a0 = triple.matrices[0]
+    involution, unipotent, regular = local_profile(triple)
     # involution eigenvalue multiplicities: four -1s, three +1s
+    assert involution == (("-1", (1, 1, 1, 1)), ("1", (1, 1, 1)))
     assert a0.jordan_partition(Fraction(-1)) == (1, 1, 1, 1)
     assert a0.jordan_partition(Fraction(1)) == (1, 1, 1)
-    assert unipotent_partition(a1) == (3, 2, 2)
-    assert unipotent_partition(ainf) == (7,)
+    assert unipotent == (("1", (3, 2, 2)),)
+    assert regular == (("1", (7,)),)
     assert matches_g2_profile(triple)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from g2rigid.errors import (BadCharacteristic, BadResidue, TooSmallPrime)
@@ -5,8 +6,8 @@ from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_decomposition,
                                   bigness_check, build_h56,
                                   conjugacy_classes, fixed_space_dim, h1_dim,
                                   sym_power_rep)
+from g2rigid.g2forms import generation_certificate, reduce_mod
 from g2rigid.matrix import Matrix
-from g2rigid.rings import PrimeField
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +64,7 @@ def test_h_bigness_honest_failure(h29):
 
 
 def test_scalar_group_bigness_trivial_case():
-    F = PrimeField(29)
-    group = FiniteMatrixGroup(F, 2, [Matrix.scalar(F, 2, F.from_int(-1))])
+    group = FiniteMatrixGroup(29, [-np.eye(2, dtype=np.int64)])
     assert group.order == 2
     assert h1_dim(group) == 0
     # adjoint action is trivial, so H^0(ad^0) is the full trace-zero space
@@ -91,3 +91,20 @@ def test_sl2_rejects_small_characteristic():
         sym_power_rep(13, 6)  # needs ell > 2m + 1 headroom for splitting
     with pytest.raises(BadCharacteristic):
         sym_power_rep(4, 2)
+
+
+def test_f_ell_certificates_run_without_the_q_backend(triple, monkeypatch):
+    """From the reduction of the Q triple, and from the group generators,
+    to the verdict, no F_ell certificate multiplies, inverts or
+    row-reduces a ``Matrix``."""
+    def refuse(*args):
+        raise AssertionError("Matrix arithmetic on an F_ell path")
+
+    for name in ("__mul__", "_echelon", "inverse"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    assert generation_certificate(reduce_mod(triple, 7)).verdict == \
+        "Generates"
+    big = bigness_check(build_h56(29))
+    assert (big.h0_ad0_dim, big.h1_ad0_dim) == (0, 0)
+    assert adjoint_decomposition(sym_power_rep(17, 6)).pairs == (
+        (1, 1), (3, 1), (5, 1), (7, 1), (9, 1), (11, 1), (13, 1))

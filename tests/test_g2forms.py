@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from g2rigid.g2forms import (DenominatorClash, dickson_form, g2_bilinear,
@@ -7,7 +8,9 @@ from g2rigid.g2forms import (DenominatorClash, dickson_form, g2_bilinear,
                              invariant_form_space, lie_stabilizer_dim,
                              reduce_mod, stabilizes,
                              trilinear_scalar_stabilizers)
+from g2rigid.convolution import RigidTuple
 from g2rigid.matrix import Matrix, rational_matrix
+from g2rigid.modlinalg import inv_mod, matmul_mod
 from g2rigid.rings import InvalidCharacteristic, PrimeField, QQ
 
 
@@ -50,6 +53,16 @@ def test_invariant_form_space_dims(triple):
         assert stabilizes(m, (forms3[0], forms2[0]))
 
 
+def test_invariant_form_dims_of_the_identity_tuple():
+    """The identity fixes every form: 28 symmetric, 35 alternating, over Q
+    and mod ell alike (the degree-2 system subtracts the basis tensors
+    themselves, 2 e_k e_k^T on the diagonal)."""
+    ident = RigidTuple([Matrix.identity(QQ, 7)] * 2)
+    assert [invariant_form_space(ident, d)[0] for d in (2, 3)] == [28, 35]
+    rep = generation_certificate(reduce_mod(ident, 7))
+    assert rep.invariant_form_dims == (28, 35)
+
+
 def test_triple_stabilizer_is_g2(triple):
     d2, forms2 = invariant_form_space(triple, 2)
     d3, forms3 = invariant_form_space(triple, 3)
@@ -58,18 +71,17 @@ def test_triple_stabilizer_is_g2(triple):
 
 def test_enveloping_dim_full(triple):
     t7 = reduce_mod(triple, 7)
-    assert enveloping_dim(t7.matrices) == 49
+    assert enveloping_dim(t7.points[:-1], 7) == 49
 
 
 def test_enveloping_dim_small_example():
-    F = PrimeField(7)
-    diag = Matrix.from_ints(F, [[2, 0], [0, 3]])
-    assert enveloping_dim([diag]) == 2  # commutative algebra of diagonals
+    diag = np.array([[2, 0], [0, 3]])
+    assert enveloping_dim([diag], 7) == 2  # commutative algebra of diagonals
 
 
-def _unit(F, n, i, j):
-    m = Matrix.zero(F, n, n)
-    m.data[i][j] = F.one
+def _unit(n, i, j):
+    m = np.zeros((n, n), dtype=np.int64)
+    m[i, j] = 1
     return m
 
 
@@ -82,17 +94,18 @@ def _unit(F, n, i, j):
     ((2, 2), [(0, 1), (1, 0), (2, 3), (3, 2), (0, 2)], 12),
 ])
 def test_enveloping_dim_block_upper_triangular(blocks, gens, dim):
-    F = PrimeField(11)
+    p = 11
     n = sum(blocks)
-    mats = [_unit(F, n, i, j) for i, j in gens]
-    assert enveloping_dim(mats) == dim
+    mats = [_unit(n, i, j) for i, j in gens]
+    assert enveloping_dim(mats, p) == dim
     # the dimension does not depend on the basis: conjugate by a fixed
     # invertible matrix with generic entries
-    P = Matrix.from_ints(F, [[(3 * i + 5 * j + i * j + 1) % 11 if i <= j
-                              else (i + 2 * j) % 11 for j in range(n)]
-                             for i in range(n)])
-    Pi = P.inverse()
-    assert enveloping_dim([P * m * Pi for m in mats]) == dim
+    P = np.array([[(3 * i + 5 * j + i * j + 1) % 11 if i <= j
+                   else (i + 2 * j) % 11 for j in range(n)]
+                  for i in range(n)])
+    Pi = inv_mod(P, p)
+    assert enveloping_dim([matmul_mod(matmul_mod(P, m, p), Pi, p)
+                           for m in mats], p) == dim
 
 
 @pytest.mark.parametrize("ell", [7, 11, 13])
