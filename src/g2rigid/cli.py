@@ -23,8 +23,7 @@ from .cache import ResultCache, resolve_cache_dir
 from .convolution import (Recipe, SearchBounds, g2_recipe, is_g2_profile,
                           local_profile, realize, rigidity_index,
                           search_g2_recipe)
-from .counting import (DEFAULT_SERIES_NAIVE_BUDGET, chi_series, series_term,
-                       ChiSeries)
+from .counting import DEFAULT_SERIES_NAIVE_BUDGET, series_term, ChiSeries
 from .errors import (BadCharacteristic, BadResidue, DenominatorClash,
                      InvalidCharacteristic, NotInBase, NotOrdinary,
                      RecipeFormatError, RecipeNotFound, TooLarge,
@@ -78,7 +77,7 @@ def _compute_triple_record(recipe):
         "a_infinity": _matrix_json(t.a_infinity()),
         "denominator": str(t.denominator()),
         "product_ok": t.product_relation_holds(),
-        "rigidity_index": str(rigidity_index(t)),
+        "rigidity_index": str(rigidity_index(t, profile)),
         "profile": _profile_json(profile),
         "profile_ok": is_g2_profile(profile),
         "invariant_form_dims": [str(d2), str(d3)],

@@ -9,7 +9,7 @@ operation.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateInput, InvalidLambda, InvalidScalar,
@@ -90,7 +90,10 @@ class RigidTuple:
 # rigidity bookkeeping
 
 def centralizer_dim(M: Matrix) -> int:
-    """dim {X : XM = MX}, via the n^2-dimensional commutator system."""
+    """dim {X : XM = MX}, via the n^2-dimensional commutator system.
+
+    The fallback of ``rigidity_index`` and the oracle its Jordan-data
+    formula is tested against."""
     R = M.ring
     n = M.rows
     rows = []
@@ -106,11 +109,34 @@ def centralizer_dim(M: Matrix) -> int:
     return n * n - sys.rank()
 
 
-def rigidity_index(t: RigidTuple) -> int:
-    """(2-k) n^2 + sum of centralizer dimensions over all k singular points."""
+def jordan_centralizer_dim(point) -> int | None:
+    """Centralizer dimension of a matrix from one point of its
+    ``local_profile``: the sum over eigenvalues of sum_{i,j}
+    min(lambda_i, lambda_j) over the Jordan partition lambda (Katz, Rigid
+    Local Systems, ch. 1).  None when the point has an 'other' entry,
+    whose Jordan data the profile does not resolve."""
+    if any(label == "other" for label, _ in point):
+        return None
+    return sum(min(a, b) for _, part in point for a in part for b in part)
+
+
+def rigidity_index(t: RigidTuple, profile=None) -> int:
+    """(2-k) n^2 + sum of centralizer dimensions over all k singular points.
+
+    Each point's centralizer dimension comes from its Jordan data in
+    ``profile`` (``local_profile(t)`` when not given); a point with an
+    'other' entry, an eigenvalue besides +-1, falls back to the linear
+    system of ``centralizer_dim``.
+    """
     pts = t.all_points()
+    if profile is None:
+        profile = local_profile(t)
     k = len(pts)
-    return (2 - k) * t.n * t.n + sum(centralizer_dim(m) for m in pts)
+    total = 0
+    for m, point in zip(pts, profile):
+        dim = jordan_centralizer_dim(point)
+        total += centralizer_dim(m) if dim is None else dim
+    return (2 - k) * t.n * t.n + total
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +395,6 @@ _TWISTS = ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1)),
            (Fraction(-1), Fraction(-1)))
 
 
-def _state_key(t: RigidTuple):
-    return (t.n, local_profile(t))
-
-
 # the six relabelings of {0, 1, inf}, as rotate/swap step sequences
 _POINT_PERMS = (
     (),
@@ -383,11 +405,17 @@ _POINT_PERMS = (
     (("swap", None), ("rotate", None), ("rotate", None)),
 )
 
+# a relabeling step moves the point profiles (p_0, p_1, p_inf): rotate
+# gives (p_inf, p_0, p_1); swap gives (p_1, p_0, p_inf), as A_1 A_2 A_1^-1
+# is conjugate to A_2 and the new A_inf is the old one
+_STEP_ORDER = {"rotate": (2, 0, 1), "swap": (1, 0, 2)}
 
-def _apply_perm(t: RigidTuple, perm) -> RigidTuple:
+
+def _permute_profile(profile, perm):
+    """``local_profile`` of a triple relabeled by the steps ``perm``."""
     for kind, _ in perm:
-        t = rotate_points(t) if kind == "rotate" else swap_points(t)
-    return t
+        profile = tuple(profile[i] for i in _STEP_ORDER[kind])
+    return profile
 
 
 # first recipe the bounded search finds; frozen so construction is instant
@@ -422,18 +450,17 @@ def g2_triple(check_rigidity: bool = True) -> RigidTuple:
 
 
 def search_g2_recipe(bounds: SearchBounds | None = None,
-                     matcher=matches_g2_profile,
                      recipe: Recipe | None = None) -> Recipe:
     """Breadth-first search over {+-1}-twists and MC_{-1} steps.
 
-    Every visited tuple is tested against the target in all six labelings
-    of the punctures; the matching relabeling is appended to the recipe as
-    rotate/swap steps.  Returns the first hit in deterministic expansion
-    order.  If ``recipe`` is supplied it is validated against ``matcher``
-    and returned without searching.
+    Every visited tuple's profile is tested against the target in all six
+    labelings of the punctures; the matching relabeling is appended to the
+    recipe as rotate/swap steps.  Returns the first hit in deterministic
+    expansion order.  If ``recipe`` is supplied it is validated against
+    the target profile and returned without searching.
     """
     if recipe is not None:
-        if not matcher(realize(recipe)):
+        if not matches_g2_profile(realize(recipe)):
             raise RecipeNotFound("supplied recipe fails the profile check")
         return recipe
     bounds = bounds or SearchBounds()
@@ -442,15 +469,15 @@ def search_g2_recipe(bounds: SearchBounds | None = None,
     seen = set()
     for seed in _SEEDS:
         t = seed_tuple(seed)
-        queue.append((Recipe(seed=seed), t, 0))
+        queue.append((Recipe(seed=seed), t, local_profile(t), 0))
     nodes = 0
     while queue:
-        recipe, t, mc_used = queue.popleft()
+        recipe, t, profile, mc_used = queue.popleft()
         nodes += 1
         if nodes > bounds.max_nodes:
             break
         for perm in _POINT_PERMS:
-            if matcher(_apply_perm(t, perm)):
+            if is_g2_profile(_permute_profile(profile, perm)):
                 return Recipe(recipe.seed, recipe.steps + perm)
         if mc_used >= bounds.max_mc_steps:
             continue
@@ -468,12 +495,13 @@ def search_g2_recipe(bounds: SearchBounds | None = None,
                 continue
             if conv.n > bounds.max_rank:
                 continue
-            key = _state_key(conv)
+            conv_profile = local_profile(conv)
+            key = (conv.n, conv_profile)
             if key in seen:
                 continue
             seen.add(key)
             queue.append((Recipe(recipe.seed,
                                  recipe.steps + pre + (("mc", lam),)),
-                          conv, mc_used + 1))
+                          conv, conv_profile, mc_used + 1))
     raise RecipeNotFound(
         f"no recipe found within bounds (visited {nodes} nodes)")

@@ -1,11 +1,15 @@
 """Dense exact matrices over a ring object from :mod:`g2rigid.rings`.
 
 Covers the linear algebra the certificates need: product/inverse, rank and
-nullspace by exact elimination, a division-free characteristic polynomial
-(Berkowitz), and unipotent/Jordan structure via rank sequences.
+nullspace by exact elimination (fraction-free on integers over Q), a
+division-free characteristic polynomial (Berkowitz), and unipotent/Jordan
+structure via rank sequences.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 from .errors import NotAnEigenvalue
 from .rings import QQ
@@ -64,9 +68,6 @@ class Matrix:
             m.data[i][i + 1] = ring.one
         return m
 
-    def copy(self):
-        return Matrix(self.ring, self.data)
-
     # -- basic algebra ------------------------------------------------------
 
     def __eq__(self, other):
@@ -116,13 +117,6 @@ class Matrix:
     def transpose(self):
         return Matrix(self.ring, list(zip(*self.data)))
 
-    def trace(self):
-        R = self.ring
-        acc = R.zero
-        for i in range(self.rows):
-            acc = R.add(acc, self.data[i][i])
-        return acc
-
     def is_square(self):
         return self.rows == self.cols
 
@@ -140,8 +134,14 @@ class Matrix:
     # -- elimination --------------------------------------------------------
 
     def _echelon(self):
-        """Row-reduce a copy; returns (reduced rows, pivot column list)."""
+        """Row-reduce a copy; returns (reduced rows, pivot column list).
+
+        Over Q this is the fraction-free elimination of ``_rref_rational``;
+        other rings run their field operations.
+        """
         R = self.ring
+        if R is QQ:
+            return _rref_rational(self.data, self.cols)
         m = [list(row) for row in self.data]
         pivots = []
         r = 0
@@ -305,6 +305,52 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.ring!r}, {self.to_str_rows()})"
+
+
+def _rref_rational(data, cols):
+    """Reduced row echelon form of rational rows, computed on integers.
+
+    Each row is scaled by the lcm of its denominators, then reduced by
+    fraction-free Gauss-Jordan elimination (Bareiss): with pivot p in
+    column c and previous pivot d, every other row becomes
+    (p * row - row[c] * pivot row) / d.  Each such state is d times the
+    state of the elimination over Q, so every entry is an integer (a
+    minor of the scaled matrix, up to sign) and the division is exact;
+    each pivot row ends with the last pivot on its pivot, which is
+    divided back out.  Returns (reduced rows as Fractions, pivot columns).
+    """
+    m = []
+    for row in data:
+        den = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    rows = len(m)
+    pivots = []
+    d = 1
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(rows):
+            f = m[i][c]
+            if i == r or (f == 0 and p == d):
+                continue
+            if f:
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], prow)]
+            else:
+                m[i] = [p * x // d for x in m[i]]
+        d = p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    zero = Fraction(0)
+    reduced = [[Fraction(x, d) if x else zero for x in row] for row in m[:r]]
+    reduced += [[zero] * cols for _ in range(rows - r)]
+    return reduced, pivots
 
 
 def _dot(R, u, v):

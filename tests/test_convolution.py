@@ -2,12 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from g2rigid.convolution import (DegenerateInput, G2_RECIPE_LINES,
-                                 InvalidLambda, Recipe, RecipeFormatError,
-                                 RigidTuple, g2_recipe, local_profile,
-                                 matches_g2_profile, middle_convolution,
-                                 realize, rigidity_index, rotate_points,
-                                 scalar_twist, seed_tuple, swap_points)
+from g2rigid import convolution
+from g2rigid.convolution import (_POINT_PERMS, DegenerateInput,
+                                 G2_RECIPE_LINES, InvalidLambda, Recipe,
+                                 RecipeFormatError, RigidTuple,
+                                 _permute_profile, centralizer_dim,
+                                 g2_recipe, jordan_centralizer_dim,
+                                 local_profile, matches_g2_profile,
+                                 middle_convolution, realize,
+                                 rigidity_index, rotate_points,
+                                 scalar_twist, search_g2_recipe, seed_tuple,
+                                 swap_points)
 from g2rigid.matrix import rational_matrix
 
 
@@ -120,3 +125,55 @@ def test_realize_is_deterministic(triple):
     again = realize(g2_recipe())
     assert [m.data for m in again.matrices] == \
         [m.data for m in triple.matrices]
+
+
+def _recipe_prefixes():
+    lines = list(G2_RECIPE_LINES)
+    return [realize(Recipe.from_lines(lines[:i]))
+            for i in range(1, len(lines) + 1)]
+
+
+def _relabel(t, perm):
+    for kind, _ in perm:
+        t = rotate_points(t) if kind == "rotate" else swap_points(t)
+    return t
+
+
+def test_relabeling_permutes_point_profiles():
+    """The search tests a relabeled tuple by permuting its profile."""
+    for t in _recipe_prefixes():
+        profile = local_profile(t)
+        for perm in _POINT_PERMS:
+            assert local_profile(_relabel(t, perm)) == \
+                _permute_profile(profile, perm)
+
+
+def test_jordan_centralizer_dim_matches_linear_system():
+    for t in _recipe_prefixes():
+        for u in (t, rotate_points(t), swap_points(t)):
+            for m, point in zip(u.all_points(), local_profile(u)):
+                assert jordan_centralizer_dim(point) == centralizer_dim(m)
+
+
+@pytest.mark.parametrize("lines", [
+    ["seed -1 -1", "twist 2 1"],
+    ["seed -1 -1", "twist 2 1", "mc -1"],
+    ["seed -1 -1", "mc -1", "twist -1 3", "mc 1/2"],
+])
+def test_rigidity_index_falls_back_off_plus_minus_one(lines, monkeypatch):
+    """Points with eigenvalues besides +-1 take the linear system."""
+    t = realize(Recipe.from_lines(lines))
+    profile = local_profile(t)
+    others = sum(jordan_centralizer_dim(point) is None for point in profile)
+    assert others > 0
+    want = (2 - len(profile)) * t.n ** 2 + sum(
+        centralizer_dim(m) for m in t.all_points())
+    calls = []
+    monkeypatch.setattr(convolution, "centralizer_dim",
+                        lambda m: calls.append(m) or centralizer_dim(m))
+    assert rigidity_index(t) == rigidity_index(t, profile) == want == 2
+    assert len(calls) == 2 * others
+
+
+def test_search_rediscovers_pinned_recipe():
+    assert tuple(search_g2_recipe().to_lines()) == G2_RECIPE_LINES

@@ -75,3 +75,53 @@ def test_solve_right():
 def test_rank_transpose_invariant(a):
     A = _mat13(a)
     assert A.rank() == A.transpose().rank()
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+def _rational_rows(rows, cols):
+    return st.lists(st.lists(rationals, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 5 x 5, half of them products through an
+    inner dimension below 4, so that rank deficiency is common."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        inner = draw(st.integers(1, 3))
+        return (Matrix(QQ, draw(_rational_rows(rows, inner)))
+                * Matrix(QQ, draw(_rational_rows(inner, cols))))
+    return Matrix(QQ, draw(_rational_rows(rows, cols)))
+
+
+@given(rational_matrices())
+def test_rational_elimination_properties(A):
+    reduced, pivots = A._echelon()
+    rank = len(pivots)
+    assert A.rank() == rank
+    # reduced echelon form: increasing pivots equal to 1, the only nonzero
+    # entry of their column, nothing left of them, zero rows below the rank
+    assert pivots == sorted(set(pivots))
+    for r, pc in enumerate(pivots):
+        assert reduced[r][pc] == 1
+        assert all(reduced[i][pc] == 0 for i in range(A.rows) if i != r)
+        assert all(x == 0 for x in reduced[r][:pc])
+    assert all(x == 0 for row in reduced[rank:] for x in row)
+    # same row space: row i of A is sum_r A[i][pivot_r] * reduced row r,
+    # which with the shape above pins the unique reduced echelon form
+    for row in A.data:
+        assert row == [sum(row[pc] * reduced[r][j]
+                           for r, pc in enumerate(pivots))
+                       for j in range(A.cols)]
+    null = A.nullspace()
+    assert rank + len(null) == A.cols
+    for v in null:
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A.data)
+    if A.is_square() and rank == A.rows:
+        assert (A * A.inverse()).is_identity()
+    elif A.is_square():
+        with pytest.raises(ZeroDivisionError):
+            A.inverse()
