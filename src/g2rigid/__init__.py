@@ -1,10 +1,10 @@
 """Exact certificates and point counts for a rank-7 rigid monodromy tuple.
 
-Subpackages cover: exact linear algebra over Q and small finite fields,
-middle-convolution construction of the triple, invariant-form and
-generation certificates, finite-group adjoint-module analysis,
-quadratic-character point counting with spectral analysis, and a caching
-command-line interface.
+Subpackages cover: exact linear algebra over Q (``matrix``) and mod ell
+(``modlinalg``), middle-convolution construction of the triple,
+invariant-form and generation certificates, finite-group adjoint-module
+analysis, quadratic-character point counting with spectral analysis, and
+a caching command-line interface.
 """
 
 __version__ = "0.1.0"

@@ -46,11 +46,17 @@ class ResultCache:
         return os.path.join(self.root, key + ".json")
 
     def get(self, payload):
+        """The stored record, or None when there is none or it cannot be
+        decoded (a truncated write, say); a miss is recomputed and the
+        record overwritten."""
         key = content_key(payload)
         path = self._path(key)
         if os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
+                try:
+                    return json.load(fh)
+                except (json.JSONDecodeError, UnicodeDecodeError):
+                    return None
         return None
 
     def put(self, payload, record) -> str:

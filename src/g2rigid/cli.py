@@ -43,10 +43,6 @@ _HANDLED_ERRORS = (BadResidue, BadCharacteristic, TooLarge, NotOrdinary,
                    ValueError)
 
 
-def _matrix_json(m):
-    return [[m.ring.to_str(x) for x in row] for row in m.data]
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (outputs dict, passed bool)
 
@@ -73,8 +69,8 @@ def _compute_triple_record(recipe):
     profile = local_profile(t)
     return {
         "recipe": list(recipe.to_lines()),
-        "matrices": [_matrix_json(m) for m in t.matrices],
-        "a_infinity": _matrix_json(t.a_infinity()),
+        "matrices": [m.to_str_rows() for m in t.matrices],
+        "a_infinity": t.a_infinity().to_str_rows(),
         "denominator": str(t.denominator()),
         "product_ok": t.product_relation_holds(),
         "rigidity_index": str(rigidity_index(t, profile)),

@@ -8,26 +8,29 @@ operation.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DegenerateInput, InvalidLambda, InvalidScalar,
                      RecipeFormatError, RecipeNotFound)
-from .matrix import Matrix, columns_to_matrix, partition_from_ranks
+from .matrix import Matrix, partition_from_ranks, rational_matrix
 from .rings import QQ
 
 
 class RigidTuple:
     """Invertible matrices (A_1, ..., A_r) with A_inf = (A_1 ... A_r)^-1."""
 
+    ring = QQ
+
     def __init__(self, matrices, check=True):
         if not matrices:
             raise ValueError("empty tuple")
         self.matrices = list(matrices)
-        self.ring = matrices[0].ring
         self.n = matrices[0].rows
         self._a_infinity = None
+        self._profile = None
         if check:
             for m in self.matrices:
                 if not m.is_square() or m.rows != self.n:
@@ -41,7 +44,7 @@ class RigidTuple:
     def a_infinity(self) -> Matrix:
         """(A_1 ... A_r)^-1, computed once per tuple."""
         if self._a_infinity is None:
-            prod = Matrix.identity(self.ring, self.n)
+            prod = Matrix.identity(self.n)
             for m in self.matrices:
                 prod = prod * m
             self._a_infinity = prod.inverse()
@@ -51,7 +54,7 @@ class RigidTuple:
         return self.matrices + [self.a_infinity()]
 
     def product_relation_holds(self) -> bool:
-        prod = Matrix.identity(self.ring, self.n)
+        prod = Matrix.identity(self.n)
         for m in self.all_points():
             prod = prod * m
         return prod.is_identity()
@@ -60,27 +63,18 @@ class RigidTuple:
         return all(m.is_identity() for m in self.matrices)
 
     def denominator(self) -> int:
-        """Least squarefree N with all entries (incl. A_inf) in Z[1/N]."""
-        if self.ring != QQ:
-            raise ValueError("denominator is defined over Q only")
-        primes = set()
-        for m in self.all_points():
-            for row in m.data:
-                for x in row:
-                    d = Fraction(x).denominator
-                    f = 2
-                    while f * f <= d:
-                        if d % f == 0:
-                            primes.add(f)
-                            while d % f == 0:
-                                d //= f
-                        f += 1
-                    if d > 1:
-                        primes.add(d)
+        """Least squarefree N with all entries (incl. A_inf) in Z[1/N]: the
+        product of the primes dividing a matrix's common denominator."""
+        d = math.lcm(*(m.den for m in self.all_points()))
         n = 1
-        for p in sorted(primes):
-            n *= p
-        return n
+        f = 2
+        while f * f <= d:
+            if d % f == 0:
+                n *= f
+                while d % f == 0:
+                    d //= f
+            f += 1
+        return n * d
 
     def __repr__(self):
         return f"RigidTuple(n={self.n}, r={self.r})"
@@ -93,20 +87,20 @@ def centralizer_dim(M: Matrix) -> int:
     """dim {X : XM = MX}, via the n^2-dimensional commutator system.
 
     The fallback of ``rigidity_index`` and the oracle its Jordan-data
-    formula is tested against."""
-    R = M.ring
+    formula is tested against.  The system is written on the numerators
+    of M, which scales it by the denominator and keeps its rank."""
+    N = M.num
     n = M.rows
     rows = []
     for i in range(n):
         for j in range(n):
-            row = [R.zero] * (n * n)
+            row = [0] * (n * n)
             for l in range(n):
-                row[i * n + l] = R.add(row[i * n + l], M.data[l][j])
+                row[i * n + l] += N[l][j]
             for k in range(n):
-                row[k * n + j] = R.sub(row[k * n + j], M.data[i][k])
+                row[k * n + j] -= N[i][k]
             rows.append(row)
-    sys = Matrix(R, rows)
-    return n * n - sys.rank()
+    return n * n - Matrix(rows).rank()
 
 
 def jordan_centralizer_dim(point) -> int | None:
@@ -143,18 +137,19 @@ def rigidity_index(t: RigidTuple, profile=None) -> int:
 # local Jordan data
 
 def local_profile(t: RigidTuple):
-    """Eigenvalue/partition data at every point, A_inf last.
+    """Eigenvalue/partition data at every point, A_inf last; computed once
+    per tuple.
 
-    Over Q only the eigenvalues +-1 are resolved (all the tuples this
-    artifact builds stay in that regime); any other charpoly factor is
-    reported as ('other', leftover degree).
+    Only the eigenvalues +-1 are resolved (all the tuples this artifact
+    builds stay in that regime); the rest of the dimension is reported as
+    ('other', leftover degree).
     """
-    R = t.ring
-    return tuple(
-        point_profile(m.rows, [(R.to_str(ev),
-                                partition_from_ranks(m.rows, m.power_ranks(ev)))
-                               for ev in (R.one, R.neg(R.one))])
-        for m in t.all_points())
+    if t._profile is None:
+        t._profile = tuple(
+            point_profile(m.rows, [(str(ev), partition_from_ranks(
+                m.rows, m.power_ranks(ev))) for ev in (1, -1)])
+            for m in t.all_points())
+    return t._profile
 
 
 def point_profile(n, partitions):
@@ -191,12 +186,10 @@ def matches_g2_profile(t: RigidTuple) -> bool:
 # operations
 
 def scalar_twist(t: RigidTuple, scalars) -> RigidTuple:
-    R = t.ring
     if len(scalars) != t.r:
         raise InvalidScalar("one scalar per finite point required")
-    for c in scalars:
-        if R.is_zero(c):
-            raise InvalidScalar("twist scalars must be nonzero")
+    if any(c == 0 for c in scalars):
+        raise InvalidScalar("twist scalars must be nonzero")
     return RigidTuple([m.scale(c) for m, c in zip(t.matrices, scalars)])
 
 
@@ -220,92 +213,60 @@ def swap_points(t: RigidTuple) -> RigidTuple:
 
 
 def middle_convolution(t: RigidTuple, lam) -> RigidTuple:
-    R = t.ring
-    if R.is_zero(lam) or R.eq(lam, R.one):
+    if lam == 0 or lam == 1:
         raise InvalidLambda("lambda must differ from 0 and 1")
     if t.is_all_identity():
         raise DegenerateInput("all-identity tuple has no middle convolution")
     r, n = t.r, t.n
     N = r * n
-    I = Matrix.identity(R, n)
-
-    def block_row(k):
-        # k-th block row of B_k: (A_1-1, ..., A_{k-1}-1, lam*A_k,
-        #                         lam*(A_{k+1}-1), ..., lam*(A_r-1))
-        blocks = []
-        for j in range(r):
-            if j < k:
-                blocks.append(t.matrices[j] - I)
-            elif j == k:
-                blocks.append(t.matrices[j].scale(lam))
-            else:
-                blocks.append((t.matrices[j] - I).scale(lam))
-        return blocks
+    I = Matrix.identity(n)
 
     bigs = []
-    for k in range(r):
-        B = Matrix.identity(R, N)
-        row_blocks = block_row(k)
-        for j in range(r):
-            blk = row_blocks[j]
-            for a in range(n):
-                for b in range(n):
-                    B.data[k * n + a][j * n + b] = blk.data[a][b]
-        bigs.append(B)
-
-    # invariant subspace K: kernels of A_k - 1, sitting in the k-th block
-    kl_vectors = []
-    for k in range(r):
-        for v in (t.matrices[k] - I).nullspace():
-            big_v = [R.zero] * N
-            for a in range(n):
-                big_v[k * n + a] = v[a]
-            kl_vectors.append(big_v)
-    # invariant subspace L: common fixed space of the B_k
     cond_rows = []
     for k in range(r):
-        row_blocks = block_row(k)
-        row_blocks[k] = row_blocks[k] - I  # k-th block row of B_k - 1
-        for a in range(n):
-            row = []
-            for j in range(r):
-                row.extend(row_blocks[j].data[a])
-            cond_rows.append(row)
-    for v in Matrix(R, cond_rows).nullspace():
-        kl_vectors.append(v)
+        # k-th block row of B_k: (A_1-1, ..., A_{k-1}-1, lam*A_k,
+        #                         lam*(A_{k+1}-1), ..., lam*(A_r-1)),
+        # on one denominator; B_k is the identity elsewhere
+        blocks = [t.matrices[j] - I if j < k
+                  else t.matrices[j].scale(lam) if j == k
+                  else (t.matrices[j] - I).scale(lam) for j in range(r)]
+        den = math.lcm(*(b.den for b in blocks))
+        block_row = [[x * (den // b.den) for b in blocks for x in b.num[a]]
+                     for a in range(n)]
+        rows = [[den * (i == j) for j in range(N)] for i in range(N)]
+        rows[k * n:(k + 1) * n] = block_row
+        bigs.append(Matrix(rows, den))
+        # the k-th block row of B_k - 1, up to the factor den
+        cond_rows += [[x - den * (j == k * n + a) for j, x in enumerate(row)]
+                      for a, row in enumerate(block_row)]
 
-    # independent spanning set of K + L
-    if kl_vectors:
-        reduced, pivots = Matrix(R, [list(v) for v in kl_vectors])._echelon()
-        basis = [reduced[i] for i in range(len(pivots))]
-    else:
-        basis, pivots = [], []
-    m_dim = len(basis)
-    new_rank = N - m_dim
-    if new_rank == 0:
+    # invariant subspace K: kernels of A_k - 1, sitting in the k-th block;
+    # invariant subspace L: common fixed space of the B_k
+    kl_vectors = [[0] * (k * n) + v + [0] * ((r - k - 1) * n)
+                  for k in range(r) for v in (t.matrices[k] - I).nullspace()]
+    kl_vectors += Matrix(cond_rows).nullspace()
+
+    # independent spanning set of K + L: the reduced rows m[:m_dim] / d
+    m, pivots, d = (rational_matrix(kl_vectors)._echelon() if kl_vectors
+                    else ([], [], 1))
+    m_dim = len(pivots)
+    if m_dim == N:
         raise DegenerateInput("middle convolution collapses to rank 0")
 
     pivot_set = set(pivots)
-    compl = [c for c in range(N) if c not in pivot_set]
     # change of basis: columns = K+L basis, then complementary standard vectors
-    cols = [list(b) for b in basis]
-    for c in compl:
-        e = [R.zero] * N
-        e[c] = R.one
-        cols.append(e)
-    P = columns_to_matrix(R, cols)
+    cols = m[:m_dim] + [[d * (i == c) for i in range(N)]
+                        for c in range(N) if c not in pivot_set]
+    P = Matrix(zip(*cols), d)
     Pinv = P.inverse()
 
     new_mats = []
     for B in bigs:
         C = Pinv * B * P
         # K+L is invariant, so the lower-left block must vanish
-        for i in range(m_dim, N):
-            for j in range(m_dim):
-                if not R.is_zero(C.data[i][j]):
-                    raise AssertionError("invariant subspace not respected")
-        D = Matrix(R, [row[m_dim:] for row in C.data[m_dim:]])
-        new_mats.append(D)
+        if any(x for row in C.num[m_dim:] for x in row[:m_dim]):
+            raise AssertionError("invariant subspace not respected")
+        new_mats.append(Matrix([row[m_dim:] for row in C.num[m_dim:]], C.den))
     out = RigidTuple(new_mats)
     if not out.product_relation_holds():
         raise AssertionError("product relation lost in middle convolution")
@@ -357,8 +318,7 @@ class Recipe:
 
 
 def seed_tuple(seed) -> RigidTuple:
-    c1, c2 = seed
-    return RigidTuple([Matrix(QQ, [[Fraction(c1)]]), Matrix(QQ, [[Fraction(c2)]])])
+    return RigidTuple([rational_matrix([[Fraction(c)]]) for c in seed])
 
 
 def realize(recipe: Recipe, check_rigidity: bool = True) -> RigidTuple:

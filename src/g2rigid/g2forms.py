@@ -17,9 +17,9 @@ import numpy as np
 
 from .convolution import RigidTuple, is_g2_profile, point_profile
 from .errors import DenominatorClash
-from .matrix import Matrix, partition_from_ranks
+from .matrix import Matrix, partition_from_ranks, rational_matrix
 from .modlinalg import matmul_mod, mod_array, rank_mod, span_closure
-from .rings import QQ, require_odd_prime
+from .rings import require_odd_prime
 
 DIM = 7
 
@@ -39,86 +39,69 @@ def _perm_sign(a, b):
 
 
 class TrilinearForm:
-    """Alternating 7x7x7 coefficient tensor over an exact ring.
+    """Alternating 7x7x7 coefficient tensor over Q.
 
     A wedge monomial x_i x_j x_k (i < j < k) stands for the alternating
     tensor with coefficient +1 at (i,j,k) and the sign of the permutation
     at the other orderings.
     """
 
-    def __init__(self, ring, entries, alternating=True):
-        self.ring = ring
+    def __init__(self, entries, alternating=True):
         self.entries = dict(entries)  # (i,j,k) -> nonzero coefficient
         self.alternating = alternating
         if alternating and not self.is_alternating():
             raise ValueError("tensor marked alternating is not")
 
     def coeff(self, i, j, k):
-        return self.entries.get((i, j, k), self.ring.zero)
+        return self.entries.get((i, j, k), 0)
 
     def is_alternating(self):
-        R = self.ring
         for (i, j, k), v in self.entries.items():
             if len({i, j, k}) < 3:
                 return False
             for perm in itertools.permutations((i, j, k)):
-                want = v if _perm_sign((i, j, k), perm) == 1 else R.neg(v)
-                if not R.eq(self.entries.get(perm, R.zero), want):
+                if self.entries.get(perm, 0) != _perm_sign((i, j, k), perm) * v:
                     return False
         return True
 
     def evaluate(self, u, v, w):
-        R = self.ring
-        acc = R.zero
-        for (i, j, k), c in self.entries.items():
-            acc = R.add(acc, R.mul(R.mul(c, u[i]), R.mul(v[j], w[k])))
-        return acc
+        return sum(c * u[i] * v[j] * w[k]
+                   for (i, j, k), c in self.entries.items())
 
     def transform(self, M: Matrix) -> "TrilinearForm":
-        """Pullback c(Mx, My, Mz), exact."""
-        R = self.ring
+        """Pullback c(Mx, My, Mz), exact: the pullback by the numerators
+        of M, divided by the cube of its denominator."""
         out = {}
         for (a, b, c), v in self.entries.items():
-            row_a, row_b, row_c = M.data[a], M.data[b], M.data[c]
+            row_a, row_b, row_c = M.num[a], M.num[b], M.num[c]
             for i in range(DIM):
-                if R.is_zero(row_a[i]):
+                if not row_a[i]:
                     continue
-                va = R.mul(v, row_a[i])
+                va = v * row_a[i]
                 for j in range(DIM):
-                    if R.is_zero(row_b[j]):
+                    if not row_b[j]:
                         continue
-                    vab = R.mul(va, row_b[j])
+                    vab = va * row_b[j]
                     for k in range(DIM):
-                        if R.is_zero(row_c[k]):
-                            continue
-                        key = (i, j, k)
-                        out[key] = R.add(out.get(key, R.zero),
-                                         R.mul(vab, row_c[k]))
-        out = {k: v for k, v in out.items() if not R.is_zero(v)}
-        return TrilinearForm(R, out, alternating=False)
+                        if row_c[k]:
+                            key = (i, j, k)
+                            out[key] = out.get(key, 0) + vab * row_c[k]
+        cube = M.den ** 3
+        return TrilinearForm({k: Fraction(v, cube) for k, v in out.items()
+                              if v}, alternating=False)
 
     def equals(self, other) -> bool:
-        R = self.ring
         keys = set(self.entries) | set(other.entries)
-        return all(R.eq(self.coeff(*k), other.coeff(*k)) for k in keys)
+        return all(self.coeff(*k) == other.coeff(*k) for k in keys)
 
 
 class BilinearForm:
-    """Symmetric 7x7 Gram matrix over an exact ring."""
+    """Symmetric 7x7 Gram matrix over Q."""
 
     def __init__(self, gram: Matrix):
-        self.ring = gram.ring
         self.gram = gram
         if gram != gram.transpose():
             raise ValueError("bilinear form must be symmetric")
-
-    def evaluate(self, u, v):
-        R = self.ring
-        acc = R.zero
-        for i in range(DIM):
-            for j in range(DIM):
-                acc = R.add(acc, R.mul(R.mul(u[i], self.gram.data[i][j]), v[j]))
-        return acc
 
     def transform(self, M: Matrix) -> "BilinearForm":
         return BilinearForm(M.transpose() * self.gram * M)
@@ -127,31 +110,27 @@ class BilinearForm:
         return self.gram == other.gram
 
 
-def dickson_form(ring=QQ) -> TrilinearForm:
+def dickson_form() -> TrilinearForm:
     """The Dickson trilinear form as an alternating tensor: each wedge
     monomial contributes +1 in its written order and the permutation sign
     on the other orderings."""
-    entries = {}
-    one = ring.one
-    for mono in _DICKSON_MONOMIALS:
-        for perm in itertools.permutations(mono):
-            entries[perm] = one if _perm_sign(mono, perm) == 1 else ring.neg(one)
-    return TrilinearForm(ring, entries)
+    return TrilinearForm({perm: _perm_sign(mono, perm)
+                          for mono in _DICKSON_MONOMIALS
+                          for perm in itertools.permutations(mono)})
 
 
-def g2_bilinear(ring=QQ) -> BilinearForm:
+def g2_bilinear() -> BilinearForm:
     """Gram matrix of -2 x0^2 + x1 x1' + x2 x2' + x3 x3'.
 
     The cross terms are read directly as Gram entries (coefficient 1 at
     both (i, i') positions); this normalization is the one invariant
     under the full stabilizer algebra of the trilinear form.
     """
-    g = Matrix.zero(ring, DIM, DIM)
-    g.data[0][0] = ring.from_int(-2)
+    g = [[0] * DIM for _ in range(DIM)]
+    g[0][0] = -2
     for i, j in ((1, 4), (2, 5), (3, 6)):
-        g.data[i][j] = ring.one
-        g.data[j][i] = ring.one
-    return BilinearForm(g)
+        g[i][j] = g[j][i] = 1
+    return BilinearForm(Matrix(g))
 
 
 def stabilizes(M: Matrix, forms) -> bool:
@@ -173,18 +152,19 @@ def _alt3_basis():
             for k in range(j + 1, DIM)]
 
 
-def _invariance_system(mats, degree, mul):
+def _invariance_system(mats, degree, mul, dens):
     """Linear system whose kernel is the space of forms of the given degree
-    fixed by every matrix in ``mats``.
+    fixed by every matrix A = N / d, N in ``mats`` and d in ``dens``.
 
     Unknowns are coefficients on the basis tensors T_c: e_k e_l^T + e_l
     e_k^T for c = (k, l) in degree 2, the alternating tensors of the
-    monomials c = (i, j, k) in degree 3.  The block of a matrix A has at
-    row r and column c the entry at index r of the pullback of T_c by A,
-    minus that of T_c: f(A[c, r]) - f(I[c, r]), where f is the permanent
-    (degree 2) or the determinant (degree 3) of the submatrix on rows c
-    and columns r.  ``mul`` multiplies entries; over F_ell it reduces
-    after each product, so entries below 2^31 stay exact in int64.
+    monomials c = (i, j, k) in degree 3.  The block of A has at row r and
+    column c the entry at index r of the pullback of T_c by A, minus that
+    of T_c, times d^degree: f(N[c, r]) - d^degree f(I[c, r]), where f is
+    the permanent (degree 2) or the determinant (degree 3) of the
+    submatrix on rows c and columns r.  ``mul`` multiplies entries; over
+    F_ell it reduces after each product, so entries below 2^31 stay exact
+    in int64.
     """
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
@@ -199,8 +179,9 @@ def _invariance_system(mats, degree, mul):
             total = total + sign * functools.reduce(mul, terms)
         return total
 
-    eye = f(np.eye(DIM, dtype=np.int64))
-    return np.concatenate([f(A) - eye for A in mats])
+    eye = f(np.eye(DIM, dtype=mats[0].dtype))
+    return np.concatenate([f(A) - d ** degree * eye
+                           for A, d in zip(mats, dens)])
 
 
 def invariant_form_space(t: RigidTuple, degree: int):
@@ -209,33 +190,32 @@ def invariant_form_space(t: RigidTuple, degree: int):
     Solves the linear system "tensor fixed by every A_i" inside the
     symmetric square (dimension 28) for degree 2, or the alternating cube
     (dimension 35) for degree 3, which is where the trilinear invariant
-    of the rank-7 representation lives.
+    of the rank-7 representation lives.  The system is written on the
+    integer numerators of the A_i.
     """
-    R = t.ring
     if t.n != DIM:
         raise ValueError("invariant forms implemented for rank 7")
-    mats = [np.array(A.data, dtype=object) for A in t.matrices]
-    null = Matrix(R, _invariance_system(mats, degree, operator.mul).tolist()
-                  ).nullspace()
+    mats = [np.array(A.num, dtype=object) for A in t.matrices]
+    system = _invariance_system(mats, degree, operator.mul,
+                                [A.den for A in t.matrices])
+    null = Matrix(system.tolist()).nullspace()
     forms = []
     if degree == 2:
         for v in null:
             # same basis tensors as the system: e_k e_l^T + e_l e_k^T
-            S = Matrix.zero(R, DIM, DIM)
+            S = [[0] * DIM for _ in range(DIM)]
             for coeff, (k, l) in zip(v, _sym2_basis()):
-                S.data[k][l] = R.add(S.data[k][l], coeff)
-                S.data[l][k] = R.add(S.data[l][k], coeff)
-            forms.append(BilinearForm(S))
+                S[k][l] += coeff
+                S[l][k] += coeff
+            forms.append(BilinearForm(rational_matrix(S)))
         return len(null), forms
     for v in null:
         entries = {}
         for coeff, mono in zip(v, _alt3_basis()):
-            if R.is_zero(coeff):
-                continue
-            for perm in itertools.permutations(mono):
-                entries[perm] = (coeff if _perm_sign(mono, perm) == 1
-                                 else R.neg(coeff))
-        forms.append(TrilinearForm(R, entries))
+            if coeff:
+                for perm in itertools.permutations(mono):
+                    entries[perm] = _perm_sign(mono, perm) * coeff
+        forms.append(TrilinearForm(entries))
     return len(null), forms
 
 
@@ -249,41 +229,26 @@ def lie_stabilizer_dim(forms) -> int:
     tri, bil = forms
     if isinstance(tri, BilinearForm):
         tri, bil = bil, tri
-    R = bil.ring
-    B = bil.gram
+    B = bil.gram.num  # the bilinear rows scaled by the Gram denominator
     rows = []
     # bilinear: sum_a B_{aj} X_{ai} + B_{ia} X_{aj} = 0
     for i in range(DIM):
         for j in range(i, DIM):
-            row = [R.zero] * (DIM * DIM)
+            row = [0] * (DIM * DIM)
             for a in range(DIM):
-                row[a * DIM + i] = R.add(row[a * DIM + i], B.data[a][j])
-                row[a * DIM + j] = R.add(row[a * DIM + j], B.data[i][a])
+                row[a * DIM + i] += B[a][j]
+                row[a * DIM + j] += B[i][a]
             rows.append(row)
     # trilinear: sum_a X_{ai} c_{ajk} + X_{aj} c_{iak} + X_{ak} c_{ija} = 0
     # (for an alternating tensor the strictly increasing triples suffice)
     for (i, j, k) in _alt3_basis():
-        row = [R.zero] * (DIM * DIM)
+        row = [0] * (DIM * DIM)
         for a in range(DIM):
-            row[a * DIM + i] = R.add(row[a * DIM + i], tri.coeff(a, j, k))
-            row[a * DIM + j] = R.add(row[a * DIM + j], tri.coeff(i, a, k))
-            row[a * DIM + k] = R.add(row[a * DIM + k], tri.coeff(i, j, a))
+            row[a * DIM + i] += tri.coeff(a, j, k)
+            row[a * DIM + j] += tri.coeff(i, a, k)
+            row[a * DIM + k] += tri.coeff(i, j, a)
         rows.append(row)
-    sysm = Matrix(R, rows)
-    return DIM * DIM - sysm.rank()
-
-
-def trilinear_scalar_stabilizers(field, tri=None):
-    """Scalars z with z*I preserving the trilinear form; expected: z^3 = 1."""
-    tri = tri or dickson_form(field)
-    out = []
-    for x in field.elements():
-        if field.is_zero(x):
-            continue
-        M = Matrix.scalar(field, DIM, x)
-        if tri.transform(M).equals(tri):
-            out.append(x)
-    return out
+    return DIM * DIM - rational_matrix(rows).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +271,11 @@ def reduce_mod(t: RigidTuple, ell: int) -> ReducedTuple:
     if N % ell == 0:
         raise DenominatorClash(f"{ell} divides the tuple denominator {N}")
 
-    def red(x):
-        fr = Fraction(x)
-        return (fr.numerator * pow(fr.denominator, ell - 2, ell)) % ell
+    def red(m):
+        inv = pow(m.den, -1, ell)
+        return [[x * inv % ell for x in row] for row in m.num]
 
-    return ReducedTuple(ell, mod_array(
-        [[[red(x) for x in row] for row in m.data] for m in t.all_points()],
-        ell))
+    return ReducedTuple(ell, mod_array([red(m) for m in t.all_points()], ell))
 
 
 def _profile_mod(points, ell):
@@ -337,7 +300,8 @@ def _power_ranks_mod(A, eps, ell):
 
 def _invariant_dim_mod(mats, degree, ell):
     """Dimension of the forms of the given degree fixed by ``mats`` mod ell."""
-    system = _invariance_system(mats, degree, lambda x, y: x * y % ell)
+    system = _invariance_system(mats, degree, lambda x, y: x * y % ell,
+                                [1] * len(mats))
     return system.shape[1] - rank_mod(system, ell)
 
 

@@ -27,7 +27,7 @@ from g2rigid.g2forms import (dickson_form, g2_bilinear,
                              generation_certificate, invariant_form_space,
                              lie_stabilizer_dim, reduce_mod)
 from g2rigid.matrix import Matrix
-from g2rigid.rings import PrimeField, QQ, ext_field
+from g2rigid.rings import PrimeField, ext_field
 from g2rigid.zeta import MODULUS_REL_TOL, zeta_analysis
 
 
@@ -56,7 +56,7 @@ def test_criterion_2_dickson_constants():
     start = time.monotonic()
     from g2rigid.g2forms import BilinearForm, TrilinearForm
     pair_dim = lie_stabilizer_dim((dickson_form(), g2_bilinear()))
-    bil_only = lie_stabilizer_dim((TrilinearForm(QQ, {}), g2_bilinear()))
+    bil_only = lie_stabilizer_dim((TrilinearForm({}), g2_bilinear()))
     elapsed = time.monotonic() - start
     _report(2, "Dickson normal-form constants",
             pair_dim == 14 and bil_only == 21 and elapsed < 10.0)

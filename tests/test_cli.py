@@ -257,3 +257,24 @@ def test_certify_refuses_ell_from_2_31(capsys, cache_dir):
     _, alone, _ = _run(capsys, ["certify", "--ell", "7",
                                 "--cache-dir", cache_dir + "-alone"])
     assert per_ell[0] == alone["outputs"]["per_ell"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "3", "--s", "2", "--kmax", "2", "--workers", "1"],
+    ["triple"],
+])
+def test_truncated_record_is_a_recomputed_miss(capsys, cache_dir, argv):
+    """A record that cannot be decoded counts as a miss: the report is the
+    cold run's, and the record is written again."""
+    argv = argv + ["--cache-dir", cache_dir]
+    _, cold, _ = _run(capsys, argv)
+    path = os.path.join(cache_dir, cold["cache_keys"][0] + ".json")
+    with open(path, "rb") as fh:
+        record = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(record[:len(record) // 2])
+    code, again, err = _run(capsys, argv)
+    assert code == 0 and again["outputs"] == cold["outputs"]
+    assert f"hits: {len(cold['cache_keys']) - 1}, misses: 1" in err
+    with open(path, "rb") as fh:
+        assert fh.read() == record

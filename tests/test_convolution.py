@@ -2,17 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from g2rigid import convolution
-from g2rigid.convolution import (_POINT_PERMS, DegenerateInput,
-                                 G2_RECIPE_LINES, InvalidLambda, Recipe,
-                                 RecipeFormatError, RigidTuple,
+from g2rigid import cli, convolution
+from g2rigid.convolution import (_POINT_PERMS, G2_RECIPE_LINES, Recipe,
+                                 RigidTuple,
                                  _permute_profile, centralizer_dim,
-                                 g2_recipe, jordan_centralizer_dim,
+                                 g2_recipe, g2_triple, jordan_centralizer_dim,
                                  local_profile, matches_g2_profile,
                                  middle_convolution, realize,
                                  rigidity_index, rotate_points,
                                  scalar_twist, search_g2_recipe, seed_tuple,
                                  swap_points)
+from g2rigid.errors import DegenerateInput, InvalidLambda, RecipeFormatError
 from g2rigid.matrix import rational_matrix
 
 
@@ -46,12 +46,9 @@ def test_triple_rank_and_rigidity(triple):
 
 
 def test_triple_jordan_profile(triple):
-    a0 = triple.matrices[0]
     involution, unipotent, regular = local_profile(triple)
     # involution eigenvalue multiplicities: four -1s, three +1s
     assert involution == (("-1", (1, 1, 1, 1)), ("1", (1, 1, 1)))
-    assert a0.jordan_partition(Fraction(-1)) == (1, 1, 1, 1)
-    assert a0.jordan_partition(Fraction(1)) == (1, 1, 1)
     assert unipotent == (("1", (3, 2, 2)),)
     assert regular == (("1", (7,)),)
     assert matches_g2_profile(triple)
@@ -111,7 +108,7 @@ def test_rotate_order_three_swap_order_two(triple):
 
 def test_scalar_twist_changes_determinants(triple):
     u = scalar_twist(triple, [Fraction(-1), Fraction(1)])
-    assert u.matrices[0].det() == -triple.matrices[0].det()
+    assert u.matrices[0] == triple.matrices[0].scale(-1)
     assert u.matrices[1] == triple.matrices[1]
 
 
@@ -177,3 +174,19 @@ def test_rigidity_index_falls_back_off_plus_minus_one(lines, monkeypatch):
 
 def test_search_rediscovers_pinned_recipe():
     assert tuple(search_g2_recipe().to_lines()) == G2_RECIPE_LINES
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cli._compute_triple_record(g2_recipe()),
+    g2_triple,
+    lambda: search_g2_recipe(recipe=g2_recipe()),
+], ids=["triple-record", "g2_triple", "search-with-recipe"])
+def test_each_replayed_tuple_gets_one_profile(build, monkeypatch):
+    """One profile per replay step: the rigidity guard's profile of the
+    final tuple is the one the profile check reads."""
+    calls = []
+    original = convolution.point_profile
+    monkeypatch.setattr(convolution, "point_profile",
+                        lambda *a: calls.append(a) or original(*a))
+    build()
+    assert len(calls) == 3 * len(g2_recipe().steps)

@@ -1,58 +1,44 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from g2rigid.matrix import Matrix, NotAnEigenvalue, rational_matrix
-from g2rigid.rings import PrimeField, QQ
-
-F13 = PrimeField(13)
-
-
-def _mat13(data):
-    return Matrix.from_ints(F13, data)
-
+from g2rigid.matrix import Matrix, partition_from_ranks, rational_matrix
 
 sq3 = st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                min_size=3, max_size=3)
 
 
-@given(sq3, sq3)
-def test_det_multiplicative_mod_13(a, b):
-    A, B = _mat13(a), _mat13(b)
-    assert (A * B).det() == F13.mul(A.det(), B.det())
+def _det3(a):
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
 
 
 @given(sq3)
 def test_inverse_or_singular(a):
-    A = _mat13(a)
-    if A.det() == 0:
+    A = rational_matrix(a)
+    if _det3(a) == 0:
         assert A.rank() < 3
+        with pytest.raises(ZeroDivisionError):
+            A.inverse()
         return
     assert (A * A.inverse()).is_identity()
 
 
 @given(sq3)
-def test_charpoly_cayley_hamilton(a):
-    A = _mat13(a)
-    assert A.eval_poly(A.charpoly()).is_zero_matrix()
-
-
-def test_charpoly_known_rational():
-    A = rational_matrix([[2, 1], [0, 3]])
-    # (x-2)(x-3) = x^2 - 5x + 6, low degree first
-    assert A.charpoly() == (Fraction(6), Fraction(-5), Fraction(1))
+def test_rank_transpose_invariant(a):
+    A = rational_matrix(a)
+    assert A.rank() == A.transpose().rank()
 
 
 def test_jordan_partition_of_jordan_blocks():
-    J = Matrix.block_diag(QQ, [
-        Matrix.jordan_block(QQ, 3, Fraction(1)),
-        Matrix.jordan_block(QQ, 2, Fraction(1)),
-        Matrix.jordan_block(QQ, 2, Fraction(1)),
-    ])
-    assert J.jordan_partition(Fraction(1)) == (3, 2, 2)
-    with pytest.raises(NotAnEigenvalue):
-        J.jordan_partition(Fraction(5))
+    # Jordan blocks of sizes 3, 2, 2 for the eigenvalue 1
+    J = Matrix([[int(i == j or (j == i + 1 and i not in (2, 4)))
+                 for j in range(7)] for i in range(7)])
+    assert partition_from_ranks(7, J.power_ranks(1)) == (3, 2, 2)
+    assert partition_from_ranks(7, J.power_ranks(5)) == ()
 
 
 def test_nullspace_dimension():
@@ -62,19 +48,6 @@ def test_nullspace_dimension():
     v = ns[0]
     out = [sum(A.data[i][j] * v[j] for j in range(3)) for i in range(3)]
     assert all(x == 0 for x in out)
-
-
-def test_solve_right():
-    A = rational_matrix([[2, 0], [1, 3]])
-    rhs = rational_matrix([[4], [11]])
-    x = A.solve_right(rhs)
-    assert (A * x) == rhs and x.data == [[Fraction(2)], [Fraction(3)]]
-
-
-@given(sq3)
-def test_rank_transpose_invariant(a):
-    A = _mat13(a)
-    assert A.rank() == A.transpose().rank()
 
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
@@ -92,14 +65,15 @@ def rational_matrices(draw):
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     if draw(st.booleans()):
         inner = draw(st.integers(1, 3))
-        return (Matrix(QQ, draw(_rational_rows(rows, inner)))
-                * Matrix(QQ, draw(_rational_rows(inner, cols))))
-    return Matrix(QQ, draw(_rational_rows(rows, cols)))
+        return (rational_matrix(draw(_rational_rows(rows, inner)))
+                * rational_matrix(draw(_rational_rows(inner, cols))))
+    return rational_matrix(draw(_rational_rows(rows, cols)))
 
 
 @given(rational_matrices())
 def test_rational_elimination_properties(A):
-    reduced, pivots = A._echelon()
+    m, pivots, d = A._echelon()
+    reduced = [[Fraction(x, d) for x in row] for row in m]
     rank = len(pivots)
     assert A.rank() == rank
     # reduced echelon form: increasing pivots equal to 1, the only nonzero
@@ -125,3 +99,68 @@ def test_rational_elimination_properties(A):
     elif A.is_square():
         with pytest.raises(ZeroDivisionError):
             A.inverse()
+
+
+# a plain-Fraction reference for the integer representation
+
+def _ref_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _ref_rref(a):
+    """Gauss-Jordan on Fractions: (reduced rows, pivot columns)."""
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _ref_inverse(a):
+    n = len(a)
+    m, pivots = _ref_rref([list(row) + [int(i == j) for j in range(n)]
+                           for i, row in enumerate(a)])
+    return [row[n:] for row in m] if pivots == list(range(n)) else None
+
+
+@given(rational_matrices(), st.data())
+def test_matrix_matches_fraction_reference(A, data):
+    a = A.data
+    # one common denominator in lowest terms, so == compares values
+    assert A.den == math.lcm(*(x.denominator for row in a for x in row))
+    assert rational_matrix(a) == A and rational_matrix(a).data == a
+    b = data.draw(_rational_rows(A.cols, data.draw(st.integers(1, 4))))
+    assert (A * rational_matrix(b)).data == _ref_product(a, b)
+    reduced, pivots = _ref_rref(a)
+    assert A.rank() == len(pivots)
+    m, got_pivots, d = A._echelon()
+    assert got_pivots == pivots
+    assert [[Fraction(x, d) for x in row] for row in m] == reduced
+    if A.is_square():
+        inverse = _ref_inverse(a)
+        if inverse is None:
+            with pytest.raises(ZeroDivisionError):
+                A.inverse()
+        else:
+            assert A.inverse().data == inverse
+
+
+def test_matrix_scale_and_difference_keep_lowest_terms():
+    A = rational_matrix([[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
+    assert A.den == 6
+    assert A.scale(6) == Matrix([[3, 2], [0, 6]])
+    assert (A - A).den == 1 and (A - A) == Matrix.zero(2, 2)
+    assert A.scale(Fraction(-3, 4)).data == [[Fraction(-3, 8),
+                                              Fraction(-1, 4)],
+                                             [0, Fraction(-3, 4)]]

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from g2rigid.rings import (ExtField, InvalidCharacteristic, PrimeField, QQ,
-                           ext_field, is_irreducible, is_prime, poly_gcd,
-                           poly_mul, smallest_irreducible)
+from g2rigid.errors import InvalidCharacteristic
+from g2rigid.rings import (ExtField, PrimeField, QQ, ext_field,
+                           is_irreducible, is_prime, poly_gcd, poly_mul,
+                           smallest_irreducible)
 
 
 def test_is_prime_small():
