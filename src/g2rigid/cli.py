@@ -73,7 +73,7 @@ def _compute_triple_record(recipe):
         "a_infinity": t.a_infinity().to_str_rows(),
         "denominator": str(t.denominator()),
         "product_ok": t.product_relation_holds(),
-        "rigidity_index": str(rigidity_index(t, profile)),
+        "rigidity_index": str(rigidity_index(t)),
         "profile": _profile_json(profile),
         "profile_ok": is_g2_profile(profile),
         "invariant_form_dims": [str(d2), str(d3)],

@@ -114,20 +114,17 @@ def jordan_centralizer_dim(point) -> int | None:
     return sum(min(a, b) for _, part in point for a in part for b in part)
 
 
-def rigidity_index(t: RigidTuple, profile=None) -> int:
+def rigidity_index(t: RigidTuple) -> int:
     """(2-k) n^2 + sum of centralizer dimensions over all k singular points.
 
     Each point's centralizer dimension comes from its Jordan data in
-    ``profile`` (``local_profile(t)`` when not given); a point with an
-    'other' entry, an eigenvalue besides +-1, falls back to the linear
-    system of ``centralizer_dim``.
+    ``local_profile(t)``; a point with an 'other' entry, an eigenvalue
+    besides +-1, falls back to the linear system of ``centralizer_dim``.
     """
     pts = t.all_points()
-    if profile is None:
-        profile = local_profile(t)
     k = len(pts)
     total = 0
-    for m, point in zip(pts, profile):
+    for m, point in zip(pts, local_profile(t)):
         dim = jordan_centralizer_dim(point)
         total += centralizer_dim(m) if dim is None else dim
     return (2 - k) * t.n * t.n + total
@@ -429,13 +426,14 @@ def search_g2_recipe(bounds: SearchBounds | None = None,
     seen = set()
     for seed in _SEEDS:
         t = seed_tuple(seed)
-        queue.append((Recipe(seed=seed), t, local_profile(t), 0))
+        queue.append((Recipe(seed=seed), t, 0))
     nodes = 0
     while queue:
-        recipe, t, profile, mc_used = queue.popleft()
+        recipe, t, mc_used = queue.popleft()
         nodes += 1
         if nodes > bounds.max_nodes:
             break
+        profile = local_profile(t)
         for perm in _POINT_PERMS:
             if is_g2_profile(_permute_profile(profile, perm)):
                 return Recipe(recipe.seed, recipe.steps + perm)
@@ -455,13 +453,12 @@ def search_g2_recipe(bounds: SearchBounds | None = None,
                 continue
             if conv.n > bounds.max_rank:
                 continue
-            conv_profile = local_profile(conv)
-            key = (conv.n, conv_profile)
+            key = (conv.n, local_profile(conv))
             if key in seen:
                 continue
             seen.add(key)
             queue.append((Recipe(recipe.seed,
                                  recipe.steps + pre + (("mc", lam),)),
-                          conv, conv_profile, mc_used + 1))
+                          conv, mc_used + 1))
     raise RecipeNotFound(
         f"no recipe found within bounds (visited {nodes} nodes)")

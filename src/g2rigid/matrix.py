@@ -40,10 +40,6 @@ class Matrix:
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
     @property
     def data(self):
         """The entries as rows of Fractions."""
@@ -82,7 +78,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_identity(self):
-        return self.is_square() and self.num == Matrix.identity(self.rows).num
+        return self.is_square() and self == Matrix.identity(self.rows)
 
     # -- elimination --------------------------------------------------------
 

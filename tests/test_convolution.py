@@ -34,6 +34,21 @@ def test_recipe_bad_lines(lines):
         Recipe.from_lines(lines)
 
 
+@pytest.mark.parametrize("lines", [
+    ["seed 1/2 1/2", "mc -1"],
+    ["seed -1 -1", "twist -1/2 -1/2", "mc -1"],
+])
+def test_scalar_points_other_than_one_convolve(lines):
+    """A tuple of points c*I with c != 1 is not all-identity, so MC_{-1}
+    applies; both recipes give the same rank-2 rigid tuple."""
+    t = realize(Recipe.from_lines(lines))
+    half = Fraction(1, 2)
+    assert [m.data for m in t.all_points()] == [
+        [[-half, half], [0, 1]], [[1, 0], [-half, -half]],
+        [[-2, 1], [2, -3]]]
+    assert rigidity_index(t) == 2
+
+
 def test_triple_product_is_identity(triple):
     assert triple.product_relation_holds()
     prod = triple.matrices[0] * triple.matrices[1] * triple.a_infinity()
@@ -168,8 +183,8 @@ def test_rigidity_index_falls_back_off_plus_minus_one(lines, monkeypatch):
     calls = []
     monkeypatch.setattr(convolution, "centralizer_dim",
                         lambda m: calls.append(m) or centralizer_dim(m))
-    assert rigidity_index(t) == rigidity_index(t, profile) == want == 2
-    assert len(calls) == 2 * others
+    assert rigidity_index(t) == want == 2
+    assert len(calls) == others
 
 
 def test_search_rediscovers_pinned_recipe():

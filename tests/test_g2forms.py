@@ -28,7 +28,7 @@ def test_single_form_stabilizers():
     from g2rigid.g2forms import TrilinearForm
     from g2rigid.matrix import Matrix as M
     no_tri = TrilinearForm({})
-    no_bil = g2_bilinear().__class__(M.zero(7, 7))
+    no_bil = g2_bilinear().__class__(M([[0] * 7 for _ in range(7)]))
     assert lie_stabilizer_dim((dickson_form(), no_bil)) == 14
     assert lie_stabilizer_dim((no_tri, g2_bilinear())) == 21
     assert lie_stabilizer_dim((no_tri, no_bil)) == 49

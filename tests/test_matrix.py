@@ -160,7 +160,16 @@ def test_matrix_scale_and_difference_keep_lowest_terms():
     A = rational_matrix([[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
     assert A.den == 6
     assert A.scale(6) == Matrix([[3, 2], [0, 6]])
-    assert (A - A).den == 1 and (A - A) == Matrix.zero(2, 2)
+    assert (A - A).den == 1 and (A - A) == Matrix([[0, 0], [0, 0]])
     assert A.scale(Fraction(-3, 4)).data == [[Fraction(-3, 8),
                                               Fraction(-1, 4)],
                                              [0, Fraction(-3, 4)]]
+
+
+def test_scalar_matrices_are_not_the_identity():
+    """is_identity reads the denominator: c*I with c != 1 is not I."""
+    assert Matrix([[1]]).is_identity()
+    assert not Matrix([[1]], 2).is_identity()
+    assert not Matrix([[2, 0], [0, 2]], 3).is_identity()
+    assert not rational_matrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]) \
+        .is_identity()
