@@ -25,9 +25,9 @@ from .convolution import (Recipe, SearchBounds, g2_recipe, is_g2_profile,
                           search_g2_recipe)
 from .counting import DEFAULT_SERIES_NAIVE_BUDGET, series_term, ChiSeries
 from .errors import (BadCharacteristic, BadResidue, DenominatorClash,
-                     InvalidCharacteristic, NotInBase, NotOrdinary,
-                     RecipeFormatError, RecipeNotFound, TooLarge,
-                     TooSmallPrime)
+                     InvalidCharacteristic, InvalidScalar, NotInBase,
+                     NotOrdinary, RecipeFormatError, RecipeNotFound,
+                     TooLarge, TooSmallPrime)
 from .finitegroups import (adjoint_decomposition, bigness_check, build_h56,
                            conjugacy_classes, sym_power_rep)
 from .g2forms import (_profile_json, generation_certificate,
@@ -39,8 +39,8 @@ SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas",
 
 _HANDLED_ERRORS = (BadResidue, BadCharacteristic, TooLarge, NotOrdinary,
                    TooSmallPrime, NotInBase, InvalidCharacteristic,
-                   DenominatorClash, RecipeFormatError, RecipeNotFound,
-                   ValueError)
+                   InvalidScalar, DenominatorClash, RecipeFormatError,
+                   RecipeNotFound, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,24 @@ from .rings import QQ
 
 
 class RigidTuple:
-    """Invertible matrices (A_1, ..., A_r) with A_inf = (A_1 ... A_r)^-1."""
+    """Invertible matrices (A_1, ..., A_r) with A_inf = (A_1 ... A_r)^-1.
+
+    Invertibility is not rechecked here: the seed refuses a zero entry,
+    and every operation maps invertible tuples to invertible tuples.
+    """
 
     ring = QQ
 
-    def __init__(self, matrices, check=True):
+    def __init__(self, matrices):
         if not matrices:
             raise ValueError("empty tuple")
         self.matrices = list(matrices)
         self.n = matrices[0].rows
         self._a_infinity = None
         self._profile = None
-        if check:
-            for m in self.matrices:
-                if not m.is_square() or m.rows != self.n:
-                    raise ValueError("tuple matrices must share one dimension")
-                m.inverse()  # raises if singular
+        for m in self.matrices:
+            if not m.is_square() or m.rows != self.n:
+                raise ValueError("tuple matrices must share one dimension")
 
     @property
     def r(self):
@@ -315,10 +317,12 @@ class Recipe:
 
 
 def seed_tuple(seed) -> RigidTuple:
+    if any(c == 0 for c in seed):
+        raise InvalidScalar("seed scalars must be nonzero")
     return RigidTuple([rational_matrix([[Fraction(c)]]) for c in seed])
 
 
-def realize(recipe: Recipe, check_rigidity: bool = True) -> RigidTuple:
+def realize(recipe: Recipe) -> RigidTuple:
     """Deterministic replay of a recipe over Q."""
     t = seed_tuple(recipe.seed)
     for kind, arg in recipe.steps:
@@ -334,7 +338,7 @@ def realize(recipe: Recipe, check_rigidity: bool = True) -> RigidTuple:
             raise RecipeFormatError(f"unknown step {kind!r}")
         if not t.product_relation_holds():
             raise AssertionError("product relation lost during replay")
-        if check_rigidity and t.n > 1 and rigidity_index(t) != 2:
+        if t.n > 1 and rigidity_index(t) != 2:
             raise AssertionError("rigidity index drifted during replay")
     return t
 
@@ -398,9 +402,9 @@ def g2_recipe() -> Recipe:
     return Recipe.from_lines(G2_RECIPE_LINES)
 
 
-def g2_triple(check_rigidity: bool = True) -> RigidTuple:
+def g2_triple() -> RigidTuple:
     """The rank-7 triple: involution, unipotent [3,2,2], unipotent [7]."""
-    t = realize(g2_recipe(), check_rigidity=check_rigidity)
+    t = realize(g2_recipe())
     if not matches_g2_profile(t):
         raise AssertionError("frozen recipe no longer realizes the triple")
     return t

@@ -4,21 +4,25 @@ The fiber over a parameter s is the double cover Y^2 = f_s(x_1, ..., x_6),
 where f_s is a product of affine-linear factors chaining consecutive
 variables.  Counting points reduces to the character sum
 T = sum over x of chi(f_s(x)) with chi the quadratic character
-(chi(0) = 0); a naive full enumeration serves as the oracle for a fast
-transfer path that convolves one variable at a time.  The transfer runs
-each convolution in the Fourier domain of (F_{p^k}, +) = (Z/p)^k, exactly
-modulo several primes, and recovers T by the Chinese remainder theorem.
+(chi(0) = 0).  The naive oracle forms the product of chi over the factors
+at every point, from one small character table per factor; it checks a
+fast transfer path that convolves one variable at a time.  The transfer
+runs each convolution in the Fourier domain of (F_{p^k}, +) = (Z/p)^k,
+exactly modulo several primes, and recovers T by the Chinese remainder
+theorem.  Both read a field through its encoding of elements as ints in
+[0, p^k).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
 
 from .errors import NotInBase, TooLarge
-from .rings import QQ, ExtField, PrimeField, ext_field, is_prime
+from .rings import PrimeField, ext_field, is_prime
 
 DEFAULT_NAIVE_BUDGET = 10 ** 9
 DEFAULT_SERIES_NAIVE_BUDGET = 10 ** 7
@@ -41,19 +45,6 @@ class LinearFactor:
             acc = ring.add(acc, ring.mul(c, point[i - 1]))
         return acc
 
-    def describe(self, ring):
-        parts = []
-        for i, c in self.coeffs:
-            if ring.eq(c, ring.one):
-                parts.append(f"x{i}")
-            elif ring.eq(c, ring.neg(ring.one)):
-                parts.append(f"-x{i}")
-            else:
-                parts.append(f"{ring.to_str(c)}*x{i}")
-        if not ring.is_zero(self.constant):
-            parts.append(ring.to_str(self.constant))
-        return " + ".join(parts).replace("+ -", "- ")
-
 
 @dataclass(frozen=True)
 class FiberFactorList:
@@ -71,16 +62,8 @@ class FiberFactorList:
             acc = ring.mul(acc, f.value(ring, point))
         return acc
 
-    def to_json(self, ring):
-        return {
-            "s": ring.to_str(self.s),
-            "variant": self.variant,
-            "constant": ring.to_str(self.constant),
-            "factors": [f.describe(ring) for f in self.factors],
-        }
 
-
-def fiber_factors(s, ring=QQ, variant="consecutive") -> FiberFactorList:
+def fiber_factors(s, ring, variant="consecutive") -> FiberFactorList:
     """Factor list of the fiber polynomial with the last coordinate at s.
 
     The default ("consecutive") reading takes the six differences of
@@ -115,23 +98,8 @@ def quad_char(field_, u) -> int:
     """Quadratic character value in {-1, 0, +1}; zero maps to 0."""
     if field_.is_zero(u):
         return 0
-    e = (field_.size - 1) // 2
-    if isinstance(field_, ExtField):
-        t = field_.pow(u, e)
-        return 1 if field_.eq(t, field_.one) else -1
-    return 1 if pow(u % field_.p, e, field_.p) == 1 else -1
-
-
-def _encode(field_, u) -> int:
-    return field_.encode(u) if isinstance(field_, ExtField) else u % field_.p
-
-
-def _decode(field_, i: int):
-    return field_.decode(i) if isinstance(field_, ExtField) else i
-
-
-def _degree(field_) -> int:
-    return field_.k if isinstance(field_, ExtField) else 1
+    t = field_.pow(u, (field_.size - 1) // 2)
+    return 1 if field_.eq(t, field_.one) else -1
 
 
 def _digits(codes, p, k):
@@ -146,18 +114,18 @@ def _chi_table(field_):
     the field modulus; the image is +1, every other element -1, and
     chi(0) = 0.
     """
-    p, k = field_.char, _degree(field_)
+    p, k = field_.char, field_.k
     n = p ** k
     digits = _digits(np.arange(n), p, k)
     square = np.zeros((n, 2 * k - 1), dtype=np.int64)
     for i in range(k):
         square[:, i:i + k] += digits[:, i:i + 1] * digits
     # row m: digits of T^m reduced by the modulus, m = 0 .. 2k - 2
-    t = _decode(field_, p)
+    t = field_.decode(p)
     powers = [field_.one]
     for _ in range(2 * k - 2):
         powers.append(field_.mul(powers[-1], t))
-    reduce_ = _digits([_encode(field_, x) for x in powers], p, k)
+    reduce_ = _digits([field_.encode(x) for x in powers], p, k)
     squares = (square @ reduce_ % p) @ p ** np.arange(k)
     chi = np.full(n, -1, dtype=np.int64)
     chi[squares] = 1
@@ -182,6 +150,23 @@ def _check_s(field_, s):
 # ---------------------------------------------------------------------------
 # counting
 
+def _factor_table(field_, factor, chi):
+    """chi(factor) on the grid of the coordinates the factor reads, as an
+    int8 array of full rank 6: axis i - 1 has length n for each x_i read,
+    length 1 otherwise.  ``chi`` lists the character by encoded element."""
+    axes = sorted(i for i, _ in factor.coeffs)
+    shape = [1] * 6
+    for i in axes:
+        shape[i - 1] = field_.size
+    point = [field_.zero] * 6
+    values = []
+    for coords in itertools.product(field_.elements(), repeat=len(axes)):
+        for i, x in zip(axes, coords):
+            point[i - 1] = x
+        values.append(chi[field_.encode(factor.value(field_, point))])
+    return np.array(values, dtype=np.int8).reshape(shape)
+
+
 def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
                 trivial_character=False):
     """Full enumeration over the 6-dimensional affine space.
@@ -191,42 +176,31 @@ def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
     the double cover has N_nonzero + T_chi points (chi = +1 contributes
     two square roots, chi = -1 none).  With ``trivial_character`` the
     engine sums the indicator of nonvanishing instead, which must equal
-    N_nonzero (self-test hook).  The character table comes from
-    quad_char, independently of the transfer path.
+    N_nonzero (self-test hook).
+
+    chi is multiplicative, so chi(f_s(x)) = chi(s) * prod chi(factor(x)).
+    Each factor reads at most two coordinates; its chi table over them
+    comes from ``LinearFactor.value`` and quad_char, independently of the
+    transfer path.  For each x1 the int8 product of the tables is formed
+    by broadcasting at every point of the remaining five axes and summed.
     """
-    _check_s(field_, s)
     n = field_.size
     if n ** 6 > budget:
         raise TooLarge(f"{n}^6 points exceed the budget {budget}")
     factors = fiber_factors(s, ring=field_, variant=variant)
-    # encoded-arithmetic tables (fields here are tiny: n^6 <= budget)
-    elems = [_decode(field_, i) for i in range(n)]
-    chi = ((np.arange(n) != 0) if trivial_character
-           else [quad_char(field_, x) for x in elems])
-    chi = np.array(chi, dtype=np.int64)
-    mul_t = np.array([[_encode(field_, field_.mul(a, b)) for b in elems]
-                      for a in elems], dtype=np.int64)
-    add_t = np.array([[_encode(field_, field_.add(a, b)) for b in elems]
-                      for a in elems], dtype=np.int64)
-    # inner grid over x3..x6, outer python loop over (x1, x2)
-    grids = dict(zip((3, 4, 5, 6), np.indices((n,) * 4).reshape(4, -1)))
+    chi = [int(not field_.is_zero(u)) if trivial_character
+           else quad_char(field_, u) for u in field_.elements()]
+    tables = [_factor_table(field_, f, chi) for f in factors.factors]
+    # tables reading x2 come last: only they are multiplied at full size
+    tables.sort(key=lambda t: t.shape[1:])
+    sign = np.int8(chi[field_.encode(s)])
     n_nonzero = t_chi = 0
-    s_enc = _encode(field_, s)
     for x1 in range(n):
-        for x2 in range(n):
-            grids[1], grids[2] = x1, x2
-            acc = np.full(n ** 4, s_enc, dtype=np.int64)
-            for f in factors.factors:
-                c_enc = _encode(field_, f.constant)
-                val = None
-                for i, c in f.coeffs:
-                    term = mul_t[_encode(field_, c)][grids[i]]
-                    val = term if val is None else add_t[val, term]
-                if c_enc:
-                    val = add_t[val, c_enc] if val is not None else c_enc
-                acc = mul_t[acc, val]
-            n_nonzero += int(np.count_nonzero(acc))
-            t_chi += int(chi[acc].sum(dtype=np.int64))
+        prod = sign
+        for t in tables:
+            prod = prod * t[x1 if t.shape[0] == n else 0]
+        n_nonzero += int(np.count_nonzero(prod))
+        t_chi += int(prod.sum(dtype=np.int64))
     return n_nonzero, t_chi
 
 
@@ -292,22 +266,22 @@ def count_transfer(field_, s, variant="consecutive",
     _check_s(field_, s)
     if variant not in ("consecutive", "cyclic"):
         raise ValueError(f"unknown variant {variant!r}")
-    p, k = field_.char, _degree(field_)
+    p, k = field_.char, field_.k
     _check_transfer_size(p, k)
     n = p ** k
     chi = ((np.arange(n) != 0).astype(np.int64) if trivial_character
            else _chi_table(field_))
 
     def minus(c):  # x -> chi(x - c): a shift along every digit axis
-        shift = tuple(_digits([_encode(field_, c)], p, k)[0, ::-1])
+        shift = tuple(_digits([field_.encode(c)], p, k)[0, ::-1])
         return np.roll(chi.reshape((p,) * k), shift,
                        axis=tuple(range(k))).reshape(n)
 
     chi_xm1 = minus(field_.one)
     chi_xms = minus(s)
     # chi(s) chi(s - x) = chi(s) chi(-1) chi(x - s) closes the chain
-    minus_one = _encode(field_, field_.neg(field_.one))
-    sign = chi[_encode(field_, s)] * chi[minus_one]
+    minus_one = field_.encode(field_.neg(field_.one))
+    sign = chi[field_.encode(s)] * chi[minus_one]
     first = chi * chi_xm1 * (chi_xms if variant == "cyclic" else 1)
     locals_ = [chi_xm1, chi, chi_xm1, chi, chi_xm1 * chi_xms * sign]
     total, modulus = 0, 1
@@ -373,8 +347,6 @@ def series_term(q: int, s: int, k: int, variant="consecutive",
     Returns (T_k, cross_checked).  Raises AssertionError on a
     transfer/naive mismatch.
     """
-    if not is_prime(q) or q == 2:
-        raise ValueError(f"need an odd prime base, got {q}")
     base = PrimeField(q)
     _check_s(base, base.from_int(s))
     _check_transfer_size(q, k)  # before searching for a degree-k modulus

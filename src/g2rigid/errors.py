@@ -33,10 +33,6 @@ class DenominatorClash(ValueError):
     """The prime divides a denominator of the tuple being reduced."""
 
 
-class NotAnEigenvalue(ValueError):
-    """A Jordan partition was asked for at a value that is no eigenvalue."""
-
-
 class InvalidScalar(ValueError):
     """A twist scalar is zero or the scalar count is wrong."""
 

@@ -89,6 +89,8 @@ QQ = Rationals()
 class PrimeField:
     """F_p for an odd prime p; elements are ints in [0, p)."""
 
+    k = 1
+
     def __init__(self, p: int):
         require_odd_prime(p)
         self.p = p
@@ -113,6 +115,9 @@ class PrimeField:
     def neg(self, a):
         return (-a) % self.p
 
+    def pow(self, a, e):
+        return pow(a, e, self.p)
+
     def inv(self, a):
         a %= self.p
         if a == 0:
@@ -127,6 +132,13 @@ class PrimeField:
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def encode(self, a) -> int:
+        """The element as an int in [0, p), as ExtField encodes with k = 1."""
+        return a % self.p
+
+    def decode(self, n: int):
+        return n % self.p
 
     def elements(self):
         return range(self.p)

@@ -164,6 +164,23 @@ def test_triple_bad_recipe_file(capsys, cache_dir, tmp_path):
     assert "RecipeFormatError" in doc["outputs"]["error"]
 
 
+def test_triple_zero_seed_is_an_input_error(capsys, cache_dir, tmp_path):
+    path = tmp_path / "recipe.txt"
+    path.write_text("seed 0 1\nmc -1\n")
+    code, doc, _ = _run(capsys, ["triple", "--recipe", str(path),
+                                 "--cache-dir", cache_dir])
+    assert code == 1
+    assert doc["outputs"]["error"].startswith("InvalidScalar")
+
+
+def test_count_composite_base_is_an_input_error(capsys, cache_dir):
+    code, doc, _ = _run(capsys, ["count", "--q", "9", "--s", "2",
+                                 "--kmax", "1", "--cache-dir", cache_dir])
+    assert code == 1
+    assert doc["outputs"]["error"] == \
+        "InvalidCharacteristic: need an odd prime, got 9"
+
+
 def test_env_var_cache_dir(capsys, monkeypatch, tmp_path):
     env_dir = tmp_path / "envcache"
     monkeypatch.setenv(CACHE_ENV_VAR, str(env_dir))

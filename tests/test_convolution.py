@@ -12,7 +12,8 @@ from g2rigid.convolution import (_POINT_PERMS, G2_RECIPE_LINES, Recipe,
                                  rigidity_index, rotate_points,
                                  scalar_twist, search_g2_recipe, seed_tuple,
                                  swap_points)
-from g2rigid.errors import DegenerateInput, InvalidLambda, RecipeFormatError
+from g2rigid.errors import (DegenerateInput, InvalidLambda, InvalidScalar,
+                            RecipeFormatError)
 from g2rigid.matrix import rational_matrix
 
 
@@ -82,6 +83,12 @@ def test_middle_convolution_rank_identity_on_seed():
     assert u.n == 2
     assert u.product_relation_holds()
     assert rigidity_index(u) == 2
+
+
+def test_seed_rejects_a_zero_scalar():
+    for seed in ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0))):
+        with pytest.raises(InvalidScalar):
+            seed_tuple(seed)
 
 
 def test_middle_convolution_rejects_lambda_one():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2rigid import counting
 from g2rigid.counting import (_chi_table, count_naive, count_transfer,
                               fiber_factors, quad_char, series_term)
 from g2rigid.errors import NotInBase, TooLarge
@@ -152,3 +153,27 @@ def test_quad_char_multiplicative(a):
     F = F5
     x, y = F.from_int(a), F.from_int(3)
     assert quad_char(F, F.mul(x, y)) == quad_char(F, x) * quad_char(F, y)
+
+
+# (field, s, variant, (N_nonzero, T_chi)), frozen from the enumeration
+# that gathered f_s from multiplication and addition tables
+PINNED_NAIVE = [
+    (ext_field(3, 2), 2, "consecutive", (111749, 277)),
+    (ext_field(3, 2), 2, "cyclic", (95784, -88)),
+    (PrimeField(7), 3, "cyclic", (12208, 64)),
+]
+
+
+def test_naive_f27_pinned():
+    F27 = ext_field(3, 3)
+    assert count_naive(F27, F27.from_int(2)) == (236269301, -2521)
+
+
+def test_naive_is_independent_of_the_transfer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the naive oracle reached the transfer path")
+
+    for name in ("_chi_table", "_transfer_residue", "count_transfer"):
+        monkeypatch.setattr(counting, name, refuse)
+    for field_, s, variant, want in PINNED_NAIVE:
+        assert count_naive(field_, field_.from_int(s), variant=variant) == want

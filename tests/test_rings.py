@@ -35,6 +35,8 @@ def test_prime_field_matches_integer_arithmetic(a, b):
     assert F.add(x, y) == (a + b) % 13
     assert F.mul(x, y) == (a * b) % 13
     assert F.sub(x, y) == (a - b) % 13
+    assert F.pow(x, abs(b)) == pow(a, abs(b), 13)
+    assert F.decode(F.encode(x)) == x == a % 13 and F.k == 1
 
 
 @given(st.integers(1, 12))
