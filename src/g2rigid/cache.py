@@ -1,9 +1,13 @@
 """Content-addressed JSON result cache with atomic writes.
 
-Records are keyed by the SHA-256 of their canonical-JSON request payload;
-writes go through a temporary file in the same directory followed by an
-atomic rename, so concurrent runs on one cache directory are safe
-(identical content, last writer wins).
+Records are keyed by the SHA-256 of their canonical-JSON request payload,
+and each record stores that payload beside its result; a record is served
+only for the payload it was written under, so a record from an older
+payload version, a truncated one or a bare result counts as a miss.  This
+catches corruption and stale formats, not a deliberate edit.  Writes go
+through a temporary file in the same directory followed by an atomic
+rename, so concurrent runs on one cache directory are safe (identical
+content, last writer wins).
 """
 
 from __future__ import annotations
@@ -46,25 +50,30 @@ class ResultCache:
         return os.path.join(self.root, key + ".json")
 
     def get(self, payload):
-        """The stored record, or None when there is none or it cannot be
-        decoded (a truncated write, say); a miss is recomputed and the
-        record overwritten."""
-        key = content_key(payload)
-        path = self._path(key)
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                try:
-                    return json.load(fh)
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    return None
+        """The stored result, or None when there is no record, it cannot
+        be decoded (a truncated write, say) or it was not written under
+        this payload; a miss is recomputed and the record overwritten."""
+        path = self._path(content_key(payload))
+        if not os.path.exists(path):
+            return None
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                record = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                return None
+        stored = record.get("payload") if isinstance(record, dict) else None
+        if canonical_json(stored) == canonical_json(payload) and \
+                "result" in record:
+            return record["result"]
         return None
 
-    def put(self, payload, record) -> str:
+    def put(self, payload, result) -> str:
         key = content_key(payload)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, sort_keys=True)
+                json.dump({"payload": payload, "result": result}, fh,
+                          sort_keys=True)
             os.replace(tmp, self._path(key))
         finally:
             if os.path.exists(tmp):
@@ -72,14 +81,13 @@ class ResultCache:
         return key
 
     def fetch_or_compute(self, payload, compute):
-        """Cached record for the payload, computing and storing on a miss."""
-        key = content_key(payload)
-        self.keys_used.append(key)
-        record = self.get(payload)
-        if record is not None:
+        """Cached result for the payload, computing and storing on a miss."""
+        self.keys_used.append(content_key(payload))
+        result = self.get(payload)
+        if result is not None:
             self.hits += 1
-            return record
+            return result
         self.misses += 1
-        record = compute()
-        self.put(payload, record)
-        return record
+        result = compute()
+        self.put(payload, result)
+        return result

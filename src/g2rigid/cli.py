@@ -17,17 +17,16 @@ import sys
 import time
 from fractions import Fraction
 
-import jsonschema
-
 from .cache import ResultCache, resolve_cache_dir
 from .convolution import (Recipe, SearchBounds, g2_recipe, is_g2_profile,
                           local_profile, realize, rigidity_index,
                           search_g2_recipe)
 from .counting import DEFAULT_SERIES_NAIVE_BUDGET, series_term, ChiSeries
-from .errors import (BadCharacteristic, BadResidue, DenominatorClash,
-                     InvalidCharacteristic, InvalidScalar, NotInBase,
-                     NotOrdinary, RecipeFormatError, RecipeNotFound,
-                     TooLarge, TooSmallPrime)
+from .errors import (BadCharacteristic, BadResidue, DegenerateInput,
+                     DenominatorClash, InvalidCharacteristic, InvalidLambda,
+                     InvalidRational, InvalidScalar, NotInBase, NotOrdinary,
+                     RecipeFormatError, RecipeNotFound, TooLarge,
+                     TooSmallPrime, WrongRank)
 from .finitegroups import (adjoint_decomposition, bigness_check, build_h56,
                            conjugacy_classes, sym_power_rep)
 from .g2forms import (_profile_json, generation_certificate,
@@ -37,10 +36,13 @@ from .zeta import local_type_prediction, zeta_analysis
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas",
                            "report.schema.json")
 
+# the input errors a command reports (exit 1); any other exception is a
+# fault of the program and propagates as a traceback
 _HANDLED_ERRORS = (BadResidue, BadCharacteristic, TooLarge, NotOrdinary,
                    TooSmallPrime, NotInBase, InvalidCharacteristic,
-                   InvalidScalar, DenominatorClash, RecipeFormatError,
-                   RecipeNotFound, ValueError)
+                   InvalidScalar, InvalidLambda, DegenerateInput,
+                   DenominatorClash, RecipeFormatError, RecipeNotFound,
+                   WrongRank, InvalidRational)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +216,11 @@ def cmd_zeta(args, cache):
 
 
 def cmd_predict(args, cache):
-    s = Fraction(args.s)
+    try:
+        s = Fraction(args.s)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidRational(f"--s {args.s!r} is not a rational number") \
+            from None
     pred = local_type_prediction(s)
     return pred.to_json(), True
 
@@ -299,11 +305,49 @@ def _flatten(prefix, obj, rows):
         rows.append((prefix.rstrip("."), obj))
 
 
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def validate(value, schema, where="report"):
+    """Check ``value`` against ``schema``; raise ValueError on a mismatch.
+
+    Only the keywords of schemas/report.schema.json are understood, with
+    their JSON Schema (draft 7) meaning; any other keyword raises
+    NotImplementedError, so the schema cannot outgrow this check unseen.
+    """
+    props = schema.get("properties", {})
+    is_object = isinstance(value, dict)
+    for key, arg in schema.items():
+        if key in ("$schema", "title", "properties"):
+            ok = True
+        elif key == "type" and isinstance(arg, str) and arg in _JSON_TYPES:
+            ok = isinstance(value, _JSON_TYPES[arg])
+        elif key == "const":
+            ok = value == arg
+        elif key == "enum":
+            ok = value in arg
+        elif key == "required":
+            ok = not is_object or all(k in value for k in arg)
+        elif key == "additionalProperties" and arg is False:
+            ok = not is_object or set(value) <= set(props)
+        elif key == "items":
+            for i, item in enumerate(value if isinstance(value, list) else ()):
+                validate(item, arg, f"{where}[{i}]")
+            ok = True
+        else:
+            raise NotImplementedError(f"schema keyword {key}: {arg!r}")
+        if not ok:
+            raise ValueError(f"{where} fails {key}: {arg!r}")
+    for k, sub in props.items():
+        if is_object and k in value:
+            validate(value[k], sub, f"{where}.{k}")
+
+
 def _emit(envelope, fmt, out):
     if fmt == "json":
         with open(SCHEMA_PATH, "r", encoding="utf-8") as fh:
             schema = json.load(fh)
-        jsonschema.validate(envelope, schema)
+        validate(envelope, schema)
         out.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     else:
         rows = []

@@ -301,19 +301,27 @@ class Recipe:
         parts = lines[0].split()
         if len(parts) != 3:
             raise RecipeFormatError(f"bad seed line: {lines[0]!r}")
-        seed = (Fraction(parts[1]), Fraction(parts[2]))
+        seed = (_fraction(parts[1], lines[0]), _fraction(parts[2], lines[0]))
         steps = []
         for ln in lines[1:]:
             parts = ln.split()
             if parts[0] == "twist" and len(parts) == 3:
-                steps.append(("twist", (Fraction(parts[1]), Fraction(parts[2]))))
+                steps.append(("twist", (_fraction(parts[1], ln),
+                                        _fraction(parts[2], ln))))
             elif parts[0] == "mc" and len(parts) == 2:
-                steps.append(("mc", Fraction(parts[1])))
+                steps.append(("mc", _fraction(parts[1], ln)))
             elif parts[0] in ("rotate", "swap") and len(parts) == 1:
                 steps.append((parts[0], None))
             else:
                 raise RecipeFormatError(f"bad recipe line: {ln!r}")
         return cls(seed=seed, steps=tuple(steps))
+
+
+def _fraction(text, line):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise RecipeFormatError(f"bad recipe line: {line!r}") from None
 
 
 def seed_tuple(seed) -> RigidTuple:

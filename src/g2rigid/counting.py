@@ -19,9 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from math import isqrt
 
-import numpy as np
-
 from .errors import NotInBase, TooLarge
+from .modlinalg import np
 from .rings import PrimeField, ext_field, is_prime
 
 DEFAULT_NAIVE_BUDGET = 10 ** 9

@@ -51,3 +51,11 @@ class RecipeNotFound(RuntimeError):
 
 class RecipeFormatError(ValueError):
     """A recipe line cannot be parsed."""
+
+
+class WrongRank(ValueError):
+    """The tuple's rank is not the one the computation is written for."""
+
+
+class InvalidRational(ValueError):
+    """A command-line value is not a rational number."""

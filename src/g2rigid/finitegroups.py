@@ -14,15 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import (BadCharacteristic, BadResidue, NotOrdinary, TooLarge,
                      TooSmallPrime)
 from .g2forms import enveloping_dim
 from .modlinalg import (annihilator, extend_basis, in_rowspace,
                         intersect_rowspaces, inv_mod, matmul_mod, mod_array,
-                        nullspace_mod, pivot_columns, rank_mod, row_basis,
-                        singular_shifts, span_closure)
+                        np, nullspace_mod, pivot_columns, rank_mod,
+                        row_basis, singular_shifts, span_closure)
 from .rings import is_prime
 
 DEFAULT_ORDER_BOUND = 100000

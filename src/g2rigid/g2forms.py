@@ -13,12 +13,10 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .convolution import RigidTuple, is_g2_profile, point_profile
-from .errors import DenominatorClash
+from .errors import DenominatorClash, WrongRank
 from .matrix import Matrix, partition_from_ranks, rational_matrix
-from .modlinalg import matmul_mod, mod_array, rank_mod, span_closure
+from .modlinalg import matmul_mod, mod_array, np, rank_mod, span_closure
 from .rings import require_odd_prime
 
 DIM = 7
@@ -194,7 +192,7 @@ def invariant_form_space(t: RigidTuple, degree: int):
     integer numerators of the A_i.
     """
     if t.n != DIM:
-        raise ValueError("invariant forms implemented for rank 7")
+        raise WrongRank("invariant forms implemented for rank 7")
     mats = [np.array(A.num, dtype=object) for A in t.matrices]
     system = _invariance_system(mats, degree, operator.mul,
                                 [A.den for A in t.matrices])

@@ -7,13 +7,36 @@ from the generators (or the reduction of a tuple over Q) to the verdict.
 Every matrix product goes through ``matmul_mod``, which is exact for any
 prime p < 2^31 (``MAX_MODULUS``); larger moduli are refused with
 ``TooLarge``, since there a single product (p - 1)^2 overflows int64.
+
+numpy is loaded here, on first use, for the whole package: ``np`` below
+stands in for the module, and the layers that compute on arrays
+(``counting``, ``finitegroups``, ``g2forms``, ``zeta``) import it from
+here.  A command served from the cache computes on no array (except
+``zeta``, which finds roots), so it does not pay the import of numpy,
+about 150 ms on a 2-CPU machine.  The deferral goes through
+the ``import`` statement, which holds the per-module import lock, so
+threads that first touch numpy together (the ``count`` workers) wait for
+one complete import; ``importlib.util.LazyLoader`` gives no such
+guarantee.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import TooLarge
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read; each attribute read
+    is then stored on the instance, so later reads are plain lookups."""
+
+    def __getattr__(self, name):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
 
 MAX_MODULUS = 2 ** 31
 _INT64_MAX = 2 ** 63 - 1

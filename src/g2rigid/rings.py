@@ -7,6 +7,7 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .errors import InvalidCharacteristic
@@ -210,60 +211,53 @@ def poly_gcd(a, b, p):
     return a
 
 
+def poly_powmod(a, e, f, p):
+    """a^e mod f over F_p (deg f >= 1), by square-and-multiply."""
+    result, base = (1,), poly_mod(a, f, p)
+    while e:
+        if e & 1:
+            result = poly_mod(poly_mul(result, base, p), f, p)
+        base = poly_mod(poly_mul(base, base, p), f, p)
+        e >>= 1
+    return result
+
+
 def is_irreducible(f, p: int) -> bool:
-    """Exhaustive factor check: no monic factor of degree <= deg(f)/2."""
+    """Rabin's test: f of degree k >= 1 is irreducible over F_p iff f
+    divides x^(p^k) - x and gcd(x^(p^(k/r)) - x, f) = 1 for every prime
+    r dividing k.  Costs O(k) powerings by p modulo f."""
     f = poly_trim(f)
     k = len(f) - 1
     if k < 1:
         return False
-    if k == 1:
-        return True
-    # root check first (degree-1 factors)
-    for a in range(p):
-        v = 0
-        for c in reversed(f):
-            v = (v * a + c) % p
-        if v == 0:
-            return False
-    # trial division by monic polynomials of degree 2..k//2
-    for d in range(2, k // 2 + 1):
-        for idx in range(p ** d):
-            coeffs = []
-            t = idx
-            for _ in range(d):
-                coeffs.append(t % p)
-                t //= p
-            g = tuple(coeffs) + (1,)
-            if not poly_mod(f, g, p):
+    x = (0, 1)
+    frobenius = [poly_mod(x, f, p)]  # x^(p^i) mod f for i = 0..k
+    for _ in range(k):
+        frobenius.append(poly_powmod(frobenius[-1], p, f, p))
+    if frobenius[k] != frobenius[0]:
+        return False
+    for r in range(2, k + 1):
+        if k % r == 0 and is_prime(r):
+            diff = list(frobenius[k // r]) + [0, 0]  # x^(p^(k/r)) - x
+            diff[1] = (diff[1] - 1) % p
+            if len(poly_gcd(diff, f, p)) != 1:
                 return False
     return True
 
 
 def smallest_irreducible(p: int, k: int, skip: int = 0) -> tuple:
-    """Lexicographically smallest monic irreducible of degree k over F_p.
+    """The first monic irreducible of degree k over F_p, skipping ``skip``.
 
-    Coefficients are compared from the leading side down (constant term
-    last), so the choice is deterministic.  ``skip`` selects later moduli
-    in the same order (used to cross-check field-presentation independence).
+    Candidates x^k + a_{k-1} x^{k-1} + ... + a_0 come in lexicographic
+    order of (a_0, a_1, ..., a_{k-1}), so the choice is deterministic.
+    ``skip`` selects later moduli in the same order (used to cross-check
+    field-presentation independence).
     """
-    if k == 1:
-        # monic degree-1 polys T + a in lex order: T, T+1, ...
-        count = 0
-        for a in range(p):
-            if count == skip:
-                return (a, 1)
-            count += 1
-        raise ValueError("skip too large")
     count = 0
-    # iterate (a_{k-1}, ..., a_0) lexicographically
-    for idx in range(p ** k):
-        digits = []
-        t = idx
-        for _ in range(k):
-            digits.append(t % p)
-            t //= p
-        # digits[0] is the most significant (a_{k-1}); constant is digits[-1]
-        coeffs = tuple(reversed(digits))  # little-endian (a_0, ..., a_{k-1})
+    # a_0 = 0 makes x a factor once k > 1: that block of p^(k-1) candidates
+    # is passed over without a test
+    first = range(1 if k > 1 else 0, p)
+    for coeffs in itertools.product(first, *[range(p)] * (k - 1)):
         f = coeffs + (1,)
         if is_irreducible(f, p):
             if count == skip:

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import NotInBase
+from .modlinalg import np
 
 MODULUS_REL_TOL = 1e-6
 

@@ -3,10 +3,11 @@ import os
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 from g2rigid.cache import (CACHE_ENV_VAR, ResultCache, canonical_json,
                            content_key, resolve_cache_dir)
-from g2rigid.cli import SCHEMA_PATH, main
+from g2rigid.cli import SCHEMA_PATH, main, validate
 
 
 @pytest.fixture()
@@ -67,6 +68,28 @@ def test_predict_report_schema_and_exit(capsys, cache_dir):
     jsonschema.validate(doc, SCHEMA)
     assert doc["passed"] is True
     assert doc["outputs"]["shape_ok"] is True
+
+
+@pytest.mark.parametrize("s", ["abc", "1/0"])
+def test_predict_malformed_s_is_an_input_error(capsys, cache_dir, s):
+    code, doc, _ = _run(capsys, ["predict", "--s", s,
+                                 "--cache-dir", cache_dir])
+    assert code == 1 and doc["passed"] is False
+    assert doc["outputs"]["error"] == \
+        f"InvalidRational: --s {s!r} is not a rational number"
+
+
+def test_internal_value_error_propagates(cache_dir, monkeypatch):
+    """A ValueError that is no input error (a Matrix shape check, say) is a
+    fault of the program: main raises it instead of reporting it."""
+    from g2rigid import cli
+
+    def broken(recipe):
+        raise ValueError("dimension mismatch in matrix product")
+
+    monkeypatch.setattr(cli, "realize", broken)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        main(["triple", "--cache-dir", cache_dir])
 
 
 def test_count_determinism_and_worker_invariance(capsys, cache_dir):
@@ -162,6 +185,22 @@ def test_triple_bad_recipe_file(capsys, cache_dir, tmp_path):
                                  "--cache-dir", cache_dir])
     assert code == 1
     assert "RecipeFormatError" in doc["outputs"]["error"]
+
+
+@pytest.mark.parametrize("text,error", [
+    ("seed a b\n", "RecipeFormatError: bad recipe line: 'seed a b'"),
+    ("seed -1 -1\nmc 1/0\n", "RecipeFormatError: bad recipe line: 'mc 1/0'"),
+    ("seed -1 -1\nmc 1\n", "InvalidLambda: lambda must differ from 0 and 1"),
+    ("seed 1 1\nmc -1\n",
+     "DegenerateInput: all-identity tuple has no middle convolution"),
+    ("seed -1 -1\n", "WrongRank: invariant forms implemented for rank 7"),
+])
+def test_triple_recipe_input_errors(capsys, cache_dir, tmp_path, text, error):
+    path = tmp_path / "recipe.txt"
+    path.write_text(text)
+    code, doc, _ = _run(capsys, ["triple", "--recipe", str(path),
+                                 "--cache-dir", cache_dir])
+    assert code == 1 and doc["outputs"]["error"] == error
 
 
 def test_triple_zero_seed_is_an_input_error(capsys, cache_dir, tmp_path):
@@ -281,17 +320,94 @@ def test_certify_refuses_ell_from_2_31(capsys, cache_dir):
     ["triple"],
 ])
 def test_truncated_record_is_a_recomputed_miss(capsys, cache_dir, argv):
-    """A record that cannot be decoded counts as a miss: the report is the
-    cold run's, and the record is written again."""
+    """A record that cannot be decoded, a bare forged result and a record
+    written under another payload version each count as a miss: the report
+    is the cold run's, and the record is written again."""
     argv = argv + ["--cache-dir", cache_dir]
     _, cold, _ = _run(capsys, argv)
     path = os.path.join(cache_dir, cold["cache_keys"][0] + ".json")
     with open(path, "rb") as fh:
         record = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(record[:len(record) // 2])
-    code, again, err = _run(capsys, argv)
-    assert code == 0 and again["outputs"] == cold["outputs"]
-    assert f"hits: {len(cold['cache_keys']) - 1}, misses: 1" in err
-    with open(path, "rb") as fh:
-        assert fh.read() == record
+    stored = json.loads(record)
+    wrong_v = dict(stored, payload=dict(stored["payload"], v=2))
+    for bad in (record[:len(record) // 2],
+                b'{"t": "999", "cross_checked": true}',
+                json.dumps(wrong_v).encode()):
+        with open(path, "wb") as fh:
+            fh.write(bad)
+        code, again, err = _run(capsys, argv)
+        assert code == 0 and again["outputs"] == cold["outputs"]
+        assert f"hits: {len(cold['cache_keys']) - 1}, misses: 1" in err
+        with open(path, "rb") as fh:
+            assert fh.read() == record
+
+
+def _golden_envelope(want):
+    return {"schema_version": "1", "command": want["argv"][0],
+            "config": {}, "outputs": want["outputs"],
+            "passed": want["passed"], "cache_keys": list(want["cache_keys"]),
+            "duration_s": "0.001"}
+
+
+def _valid(envelope):
+    try:
+        validate(envelope, SCHEMA)
+    except ValueError:
+        return False
+    return True
+
+
+DRAFT7 = jsonschema.Draft7Validator(SCHEMA)
+
+
+def test_report_schema_is_draft7():
+    jsonschema.Draft7Validator.check_schema(SCHEMA)
+
+
+def test_schema_check_accepts_every_golden_report():
+    for want in GOLDEN.values():
+        assert _valid(_golden_envelope(want))
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(), inner, max_size=3),
+                     max_leaves=6)
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(sorted(SCHEMA["properties"]))),
+    st.tuples(st.just("set"), st.text(max_size=3), _JSON),
+    st.tuples(st.just("set"), st.sampled_from(sorted(SCHEMA["properties"])),
+              _JSON | st.sampled_from(["1", "2", 1, True, "triple", "Triple",
+                                       "zeta", "", [], {}])),
+    st.tuples(st.just("cache_key"), st.integers(0, 3),
+              _JSON | st.sampled_from(["", "0" * 64]))
+)
+
+
+@given(st.sampled_from(sorted(GOLDEN)), st.lists(_MUTATIONS, max_size=3))
+def test_schema_check_agrees_with_jsonschema(name, mutations):
+    """Dropped, extra and retyped keys, bad const and enum values and
+    cache keys of any type: the report check and jsonschema's draft-7
+    validator agree on every mutated envelope."""
+    envelope = _golden_envelope(GOLDEN[name])
+    for kind, key, *value in mutations:
+        if kind == "drop":
+            envelope.pop(key, None)
+        elif kind == "set":
+            envelope[key] = value[0]
+        elif isinstance(envelope.get("cache_keys"), list):
+            keys = envelope["cache_keys"]
+            keys.insert(min(key, len(keys)), value[0])
+    assert _valid(envelope) == DRAFT7.is_valid(envelope)
+
+
+@pytest.mark.parametrize("schema", [
+    {"minProperties": 1},
+    {"type": "integer"},
+    {"type": ["string", "null"]},
+    {"additionalProperties": {"type": "string"}},
+    {"properties": {"a": {"pattern": "^x"}}},
+])
+def test_schema_check_refuses_unknown_keywords(schema):
+    with pytest.raises(NotImplementedError):
+        validate({"a": "x"}, schema)

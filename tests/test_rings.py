@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,26 @@ from hypothesis import given, strategies as st
 
 from g2rigid.errors import InvalidCharacteristic
 from g2rigid.rings import (ExtField, PrimeField, QQ, ext_field,
-                           is_irreducible, is_prime, poly_gcd, poly_mul,
-                           smallest_irreducible)
+                           is_irreducible, is_prime, poly_gcd, poly_mod,
+                           poly_mul, poly_trim, smallest_irreducible)
+
+
+def _trial_division_irreducible(f, p):
+    """Reference: f has no monic factor of degree 1 .. deg(f)/2."""
+    f = poly_trim(f)
+    k = len(f) - 1
+    if k < 1:
+        return False
+    return all(poly_mod(f, g + (1,), p)
+               for d in range(1, k // 2 + 1)
+               for g in itertools.product(range(p), repeat=d))
+
+
+def _monic(p, k):
+    """Monic polynomials of degree k over F_p, in the order in which
+    ``smallest_irreducible`` takes its candidates: (a_0, ..., a_{k-1})
+    lexicographically."""
+    return (g + (1,) for g in itertools.product(range(p), repeat=k))
 
 
 def test_is_prime_small():
@@ -50,6 +69,21 @@ def test_smallest_irreducible_is_irreducible():
         f = smallest_irreducible(p, k)
         assert len(f) == k + 1 and f[-1] == 1
         assert is_irreducible(f, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rabin_matches_trial_division(p):
+    for k in range(5):
+        for f in _monic(p, k):
+            assert is_irreducible(f, p) == _trial_division_irreducible(f, p)
+
+
+def test_smallest_irreducible_matches_trial_division_search():
+    for k in range(1, 11):
+        first_two = list(itertools.islice(
+            (f for f in _monic(3, k) if _trial_division_irreducible(f, 3)), 2))
+        assert [smallest_irreducible(3, k, skip) for skip in (0, 1)] == \
+            first_two
 
 
 def test_smallest_irreducible_skip_differs():
