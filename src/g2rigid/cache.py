@@ -25,7 +25,7 @@ def canonical_json(obj) -> str:
 
 
 def content_key(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+    return hashlib.sha256(bytes(canonical_json(payload), "utf-8")).hexdigest()
 
 
 def resolve_cache_dir(flag_value=None) -> str:
@@ -51,7 +51,7 @@ class ResultCache:
 
     def get(self, payload):
         """The stored result, or None when there is no record, it cannot
-        be decoded (a truncated write, say) or it was not written under
+        be parsed (a truncated write, say) or it was not written under
         this payload; a miss is recomputed and the record overwritten."""
         path = self._path(content_key(payload))
         if not os.path.exists(path):

@@ -228,18 +228,40 @@ def cmd_predict(args, cache):
 # ---------------------------------------------------------------------------
 # plumbing
 
+def _positive_int(text):
+    n = int(text)  # argparse reports a ValueError as a usage error
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
+def _int_list(text):
+    """A nonempty comma-separated list of integers, e.g. 7,11,13."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers") from None
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache-dir", default=None,
                         help="cache directory (default: $G2RIGID_CACHE_DIR "
                              "or ~/.cache/g2rigid)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget for naive cross-checks")
     common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--variant", choices=["consecutive", "cyclic"],
+    common.add_argument("--workers", type=_positive_int, default=None)
+
+    # the character-sum series of count and zeta
+    series = argparse.ArgumentParser(add_help=False, parents=[common])
+    series.add_argument("--q", type=int, required=True)
+    series.add_argument("--s", type=int, required=True)
+    series.add_argument("--kmax", type=_positive_int, default=7)
+    series.add_argument("--budget", type=_positive_int, default=None,
+                        help="enumeration budget for naive cross-checks")
+    series.add_argument("--variant", choices=["consecutive", "cyclic"],
                         default="consecutive",
                         help="reading of the wrap-around difference factor")
-    common.add_argument("--workers", type=int, default=None)
 
     p = argparse.ArgumentParser(
         prog="g2rigid",
@@ -257,7 +279,7 @@ def build_parser():
 
     sp = sub.add_parser("certify", parents=[common],
                         help="mod-l generation certificates")
-    sp.add_argument("--ell", required=True,
+    sp.add_argument("--ell", type=_int_list, required=True,
                     help="comma-separated list of primes")
     sp.add_argument("--recipe", help="file with recipe lines to replay")
     sp.set_defaults(fn=cmd_certify)
@@ -273,18 +295,12 @@ def build_parser():
     sp.add_argument("--power", type=int, required=True)
     sp.set_defaults(fn=cmd_sl2)
 
-    sp = sub.add_parser("count", parents=[common],
+    sp = sub.add_parser("count", parents=[series],
                         help="character-sum series over extensions")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--kmax", type=int, default=7)
     sp.set_defaults(fn=cmd_count)
 
-    sp = sub.add_parser("zeta", parents=[common],
+    sp = sub.add_parser("zeta", parents=[series],
                         help="spectral analysis of the series")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
-    sp.add_argument("--kmax", type=int, default=7)
     sp.set_defaults(fn=cmd_zeta)
 
     sp = sub.add_parser("predict", parents=[common],
@@ -369,8 +385,6 @@ def _config_json(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "ell", None) is not None and args.command == "certify":
-        args.ell = [int(x) for x in str(args.ell).split(",") if x]
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
     start = time.monotonic()
     try:

@@ -9,8 +9,8 @@ at every point, from one small character table per factor; it checks a
 fast transfer path that convolves one variable at a time.  The transfer
 runs each convolution in the Fourier domain of (F_{p^k}, +) = (Z/p)^k,
 exactly modulo several primes, and recovers T by the Chinese remainder
-theorem.  Both read a field through its encoding of elements as ints in
-[0, p^k).
+theorem.  Both work on the field's integer codes in [0, p^k) (see
+``rings``), so every character table is indexed by the element itself.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import isqrt
 
 from .errors import NotInBase, TooLarge
 from .modlinalg import np
-from .rings import PrimeField, ext_field, is_prime
+from .rings import ext_field, is_prime, require_odd_prime
 
 DEFAULT_NAIVE_BUDGET = 10 ** 9
 DEFAULT_SERIES_NAIVE_BUDGET = 10 ** 7
@@ -49,8 +49,6 @@ class LinearFactor:
 class FiberFactorList:
     """The linear factors of f_s, with the constant multiplier s."""
 
-    s: object
-    variant: str
     constant: object
     factors: tuple
 
@@ -72,22 +70,19 @@ def fiber_factors(s, ring, variant="consecutive") -> FiberFactorList:
     """
     if variant not in ("consecutive", "cyclic"):
         raise ValueError(f"unknown variant {variant!r}")
-    if ring.is_zero(s) or ring.eq(s, ring.one):
-        raise NotInBase("the parameter s must avoid 0 and 1")
-    one = ring.one
-    neg_one = ring.neg(one)
+    _check_s(s)
+    neg_one = ring.neg(1)
     factors = []
     for i in range(1, 6):
-        factors.append(LinearFactor(ring.zero, ((i + 1, one), (i, neg_one))))
+        factors.append(LinearFactor(0, ((i + 1, 1), (i, neg_one))))
     factors.append(LinearFactor(s, ((6, neg_one),)))
     if variant == "cyclic":
-        factors.append(LinearFactor(ring.neg(s), ((1, one),)))
+        factors.append(LinearFactor(ring.neg(s), ((1, 1),)))
     for i in (1, 3, 5):
-        factors.append(LinearFactor(ring.zero, ((i, one),)))
+        factors.append(LinearFactor(0, ((i, 1),)))
     for i in (1, 2, 4, 6):
-        factors.append(LinearFactor(neg_one, ((i, one),)))
-    return FiberFactorList(s=s, variant=variant, constant=s,
-                           factors=tuple(factors))
+        factors.append(LinearFactor(neg_one, ((i, 1),)))
+    return FiberFactorList(constant=s, factors=tuple(factors))
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +90,19 @@ def fiber_factors(s, ring, variant="consecutive") -> FiberFactorList:
 
 def quad_char(field_, u) -> int:
     """Quadratic character value in {-1, 0, +1}; zero maps to 0."""
-    if field_.is_zero(u):
+    if u == 0:
         return 0
     t = field_.pow(u, (field_.size - 1) // 2)
-    return 1 if field_.eq(t, field_.one) else -1
+    return 1 if t == 1 else -1
 
 
 def _digits(codes, p, k):
-    """Base-p digit vectors (constant coefficient first) of encoded elements."""
+    """Base-p digit vectors (constant coefficient first) of element codes."""
     return np.asarray(codes, dtype=np.int64)[:, None] // p ** np.arange(k) % p
 
 
 def _chi_table(field_):
-    """Quadratic character of every encoded element, from the squaring map.
+    """Quadratic character of every element, from the squaring map.
 
     All elements are squared at once as digit polynomials and reduced by
     the field modulus; the image is +1, every other element -1, and
@@ -120,11 +115,10 @@ def _chi_table(field_):
     for i in range(k):
         square[:, i:i + k] += digits[:, i:i + 1] * digits
     # row m: digits of T^m reduced by the modulus, m = 0 .. 2k - 2
-    t = field_.decode(p)
-    powers = [field_.one]
+    powers = [1]
     for _ in range(2 * k - 2):
-        powers.append(field_.mul(powers[-1], t))
-    reduce_ = _digits([field_.encode(x) for x in powers], p, k)
+        powers.append(field_.mul(powers[-1], p))  # the code p is T
+    reduce_ = _digits(powers, p, k)
     squares = (square @ reduce_ % p) @ p ** np.arange(k)
     chi = np.full(n, -1, dtype=np.int64)
     chi[squares] = 1
@@ -141,8 +135,8 @@ def _check_transfer_size(p, k):
                        f"over the bound {TRANSFER_BYTE_BOUND}")
 
 
-def _check_s(field_, s):
-    if field_.is_zero(s) or field_.eq(s, field_.one):
+def _check_s(s):
+    if s in (0, 1):
         raise NotInBase("the parameter s must avoid 0 and 1")
 
 
@@ -152,17 +146,17 @@ def _check_s(field_, s):
 def _factor_table(field_, factor, chi):
     """chi(factor) on the grid of the coordinates the factor reads, as an
     int8 array of full rank 6: axis i - 1 has length n for each x_i read,
-    length 1 otherwise.  ``chi`` lists the character by encoded element."""
+    length 1 otherwise.  ``chi`` lists the character by element."""
     axes = sorted(i for i, _ in factor.coeffs)
     shape = [1] * 6
     for i in axes:
         shape[i - 1] = field_.size
-    point = [field_.zero] * 6
+    point = [0] * 6
     values = []
     for coords in itertools.product(field_.elements(), repeat=len(axes)):
         for i, x in zip(axes, coords):
             point[i - 1] = x
-        values.append(chi[field_.encode(factor.value(field_, point))])
+        values.append(chi[factor.value(field_, point)])
     return np.array(values, dtype=np.int8).reshape(shape)
 
 
@@ -187,12 +181,12 @@ def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
     if n ** 6 > budget:
         raise TooLarge(f"{n}^6 points exceed the budget {budget}")
     factors = fiber_factors(s, ring=field_, variant=variant)
-    chi = [int(not field_.is_zero(u)) if trivial_character
+    chi = [int(u != 0) if trivial_character
            else quad_char(field_, u) for u in field_.elements()]
     tables = [_factor_table(field_, f, chi) for f in factors.factors]
     # tables reading x2 come last: only they are multiplied at full size
     tables.sort(key=lambda t: t.shape[1:])
-    sign = np.int8(chi[field_.encode(s)])
+    sign = np.int8(chi[s])
     n_nonzero = t_chi = 0
     for x1 in range(n):
         prod = sign
@@ -262,7 +256,7 @@ def count_transfer(field_, s, variant="consecutive",
     The largest array must fit in TRANSFER_BYTE_BOUND bytes, else
     TooLarge.  Agrees with count_naive wherever both run.
     """
-    _check_s(field_, s)
+    _check_s(s)
     if variant not in ("consecutive", "cyclic"):
         raise ValueError(f"unknown variant {variant!r}")
     p, k = field_.char, field_.k
@@ -272,15 +266,14 @@ def count_transfer(field_, s, variant="consecutive",
            else _chi_table(field_))
 
     def minus(c):  # x -> chi(x - c): a shift along every digit axis
-        shift = tuple(_digits([field_.encode(c)], p, k)[0, ::-1])
+        shift = tuple(_digits([c], p, k)[0, ::-1])
         return np.roll(chi.reshape((p,) * k), shift,
                        axis=tuple(range(k))).reshape(n)
 
-    chi_xm1 = minus(field_.one)
+    chi_xm1 = minus(1)
     chi_xms = minus(s)
     # chi(s) chi(s - x) = chi(s) chi(-1) chi(x - s) closes the chain
-    minus_one = field_.encode(field_.neg(field_.one))
-    sign = chi[field_.encode(s)] * chi[minus_one]
+    sign = chi[s] * chi[field_.neg(1)]
     first = chi * chi_xm1 * (chi_xms if variant == "cyclic" else 1)
     locals_ = [chi_xm1, chi, chi_xm1, chi, chi_xm1 * chi_xms * sign]
     total, modulus = 0, 1
@@ -346,15 +339,15 @@ def series_term(q: int, s: int, k: int, variant="consecutive",
     Returns (T_k, cross_checked).  Raises AssertionError on a
     transfer/naive mismatch.
     """
-    base = PrimeField(q)
-    _check_s(base, base.from_int(s))
+    require_odd_prime(q)
+    s %= q
+    _check_s(s)
     _check_transfer_size(q, k)  # before searching for a degree-k modulus
-    fk = base if k == 1 else ext_field(q, k, skip=modulus_skip)
-    sk = fk.from_int(s)
-    t = count_transfer(fk, sk, variant=variant)
+    fk = ext_field(q, k, skip=modulus_skip)
+    t = count_transfer(fk, s, variant=variant)
     crossed = False
     if fk.size ** 6 <= naive_budget:
-        _, t_naive = count_naive(fk, sk, budget=naive_budget, variant=variant)
+        _, t_naive = count_naive(fk, s, budget=naive_budget, variant=variant)
         if t_naive != t:
             raise AssertionError(
                 f"transfer/naive mismatch at k={k}: {t} vs {t_naive}")

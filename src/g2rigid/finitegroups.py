@@ -23,7 +23,7 @@ from .modlinalg import (annihilator, extend_basis, in_rowspace,
                         row_basis, singular_shifts, span_closure)
 from .rings import is_prime
 
-DEFAULT_ORDER_BOUND = 100000
+ORDER_BOUND = 100000  # materialize refuses a larger group
 
 
 class FiniteMatrixGroup:
@@ -35,9 +35,9 @@ class FiniteMatrixGroup:
         self.generators = mod_array(generators, p)
         self._elements = None
 
-    def materialize(self, bound=DEFAULT_ORDER_BOUND):
+    def materialize(self):
         """Element stack, closed under products, breadth-first from the
-        identity (element 0)."""
+        identity (element 0); TooLarge past ORDER_BOUND elements."""
         if self._elements is not None:
             return self._elements
         n = self.generators.shape[1]
@@ -54,8 +54,9 @@ class FiniteMatrixGroup:
             for prod in prods.reshape(-1, n, n):
                 key = prod.tobytes()
                 if key not in seen:
-                    if len(order) >= bound:
-                        raise TooLarge(f"group exceeds order bound {bound}")
+                    if len(order) >= ORDER_BOUND:
+                        raise TooLarge(
+                            f"group exceeds order bound {ORDER_BOUND}")
                     seen.add(key)
                     order.append(prod)
                     frontier.append(prod)
@@ -557,7 +558,7 @@ class BignessReport:
         }
 
 
-def bigness_check(group: FiniteMatrixGroup, bound=DEFAULT_ORDER_BOUND,
+def bigness_check(group: FiniteMatrixGroup,
                   decomposition=None) -> BignessReport:
     """Adjoint H^0/H^1 vanishing plus the eigenspace-witness condition.
 
@@ -580,7 +581,7 @@ def bigness_check(group: FiniteMatrixGroup, bound=DEFAULT_ORDER_BOUND,
     ``decomposition`` is the group's ``adjoint_decomposition`` when the
     caller already has it; otherwise it is computed here.
     """
-    p, gens, elements = group.p, group.generators, group.materialize(bound)
+    p, gens, elements = group.p, group.generators, group.materialize()
     h0 = fixed_space_dim(group)
     h1 = h1_dim(group, h0)
     if decomposition is None:

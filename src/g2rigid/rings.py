@@ -1,14 +1,15 @@
-"""Exact coefficient rings: rationals, prime fields, and small extension fields.
+"""Finite fields F_{p^k} on integer codes, the polynomials over F_p that
+present them, and the marker QQ for the rational coefficient domain.
 
-Elements are plain Python values (Fraction, int, tuple of ints); the ring
-object carries the arithmetic.  Everything is immutable and hashable, so
-values can be shared freely between threads.
+Every finite field is ``ext_field(p, k)``, F_p included (k = 1).  Its
+elements are plain ints, the codes in [0, p^k) whose base-p digits are
+the coefficients; the field object carries the arithmetic.  Everything
+is immutable, so fields and elements can be shared between threads.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import InvalidCharacteristic
 
@@ -34,127 +35,14 @@ def require_odd_prime(p: int) -> None:
 
 
 class Rationals:
-    """The field Q with Fraction elements."""
-
-    name = "QQ"
-    char = 0
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def to_str(self, a):
-        return str(a)
+    """The coefficient domain Q of the rational triple; it carries no
+    arithmetic (``Matrix`` computes over Q on integer numerators)."""
 
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
-
-    def __hash__(self):
-        return hash("QQ")
-
 
 QQ = Rationals()
-
-
-class PrimeField:
-    """F_p for an odd prime p; elements are ints in [0, p)."""
-
-    k = 1
-
-    def __init__(self, p: int):
-        require_odd_prime(p)
-        self.p = p
-        self.char = p
-        self.size = p
-        self.name = f"F{p}"
-        self.zero = 0
-        self.one = 1
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def pow(self, a, e):
-        return pow(a, e, self.p)
-
-    def inv(self, a):
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError(f"inverse of 0 in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def encode(self, a) -> int:
-        """The element as an int in [0, p), as ExtField encodes with k = 1."""
-        return a % self.p
-
-    def decode(self, n: int):
-        return n % self.p
-
-    def elements(self):
-        return range(self.p)
-
-    def to_str(self, a):
-        return str(a % self.p)
-
-    def __repr__(self):
-        return self.name
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +141,8 @@ def smallest_irreducible(p: int, k: int, skip: int = 0) -> tuple:
     ``skip`` selects later moduli in the same order (used to cross-check
     field-presentation independence).
     """
+    if k < 1:
+        raise ValueError("degree must be >= 1")
     count = 0
     # a_0 = 0 makes x a factor once k > 1: that block of p^(k-1) candidates
     # is passed over without a test
@@ -266,106 +156,80 @@ def smallest_irreducible(p: int, k: int, skip: int = 0) -> tuple:
     raise ValueError(f"no irreducible of degree {k} over F_{p}")
 
 
-class ExtField:
-    """F_{p^k} as F_p[T]/(modulus); elements are little-endian int tuples."""
+class FiniteField:
+    """F_q = F_p[T]/(modulus) for an odd prime p, of degree k and size
+    q = p^k.
 
-    def __init__(self, p: int, k: int, modulus: tuple | None = None):
-        if p == 2 or not is_prime(p):
-            raise InvalidCharacteristic(f"need an odd prime, got {p}")
-        if k < 1:
-            raise ValueError("degree must be >= 1")
-        if modulus is None:
-            modulus = smallest_irreducible(p, k)
+    An element is its code: the int in [0, q) whose base-p digits,
+    constant first, are its coefficients in T.  Codes are canonical, so
+    0, 1 and == are the field's zero, one and equality, and with k = 1
+    (modulus T) the codes are the residues mod p.
+    """
+
+    def __init__(self, p: int, modulus: tuple):
+        require_odd_prime(p)
         modulus = poly_trim(modulus)
-        if len(modulus) - 1 != k or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the stated degree")
+        if len(modulus) < 2 or modulus[-1] != 1:
+            raise ValueError("modulus must be monic of degree >= 1")
         if not is_irreducible(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
-        self.p = p
-        self.k = k
-        self.char = p
+        self.p = self.char = p
+        self.k = len(modulus) - 1
         self.modulus = modulus
-        self.size = p ** k
-        self.name = f"F{p}^{k}"
-        self.zero = (0,) * k
-        self.one = tuple([1] + [0] * (k - 1))
+        self.size = p ** self.k
+
+    def _digits(self, a):
+        digits = []
+        for _ in range(self.k):
+            a, d = divmod(a, self.p)
+            digits.append(d)
+        return digits
+
+    def _code(self, digits):
+        a = 0
+        for d in reversed(digits):
+            a = a * self.p + d % self.p
+        return a
 
     def from_int(self, n):
-        return tuple([n % self.p] + [0] * (self.k - 1))
+        return n % self.p
 
-    def _pad(self, c):
-        return tuple(c) + (0,) * (self.k - len(c))
+    # the codes [0, p) are the prime field F_p, where + and * are mod p
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        if a < self.p and b < self.p:
+            return (a + b) % self.p
+        return self._code([x + y for x, y in zip(self._digits(a),
+                                                 self._digits(b))])
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        return self._code([-x for x in self._digits(a)])
 
     def mul(self, a, b):
-        return self._pad(poly_mod(poly_mul(poly_trim(a), poly_trim(b), self.p),
-                                  self.modulus, self.p))
+        p = self.p
+        if a < p and b < p:
+            return a * b % p
+        product = poly_mul(self._digits(a), self._digits(b), p)
+        return self._code(poly_mod(product, self.modulus, p))
 
     def pow(self, a, e):
-        result = self.one
-        base = a
+        result = 1
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             e >>= 1
         return result
 
-    def inv(self, a):
-        if self.is_zero(a):
-            raise ZeroDivisionError(f"inverse of 0 in {self.name}")
-        return self.pow(a, self.size - 2)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def eq(self, a, b):
-        return all((x - y) % self.p == 0 for x, y in zip(a, b))
-
-    def is_zero(self, a):
-        return all(x % self.p == 0 for x in a)
-
-    def encode(self, a) -> int:
-        """Base-p digit encoding of an element as an int in [0, p^k)."""
-        v = 0
-        for c in reversed(a):
-            v = v * self.p + (c % self.p)
-        return v
-
-    def decode(self, n: int):
-        digits = []
-        for _ in range(self.k):
-            digits.append(n % self.p)
-            n //= self.p
-        return tuple(digits)
-
     def elements(self):
-        return (self.decode(i) for i in range(self.size))
-
-    def to_str(self, a):
-        return str(self.encode(a))
+        return range(self.size)
 
     def __repr__(self):
-        return f"{self.name}/{list(self.modulus)}"
-
-    def __eq__(self, other):
-        return (isinstance(other, ExtField) and other.p == self.p
-                and other.modulus == self.modulus)
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.modulus))
+        return f"F{self.p}^{self.k}/{list(self.modulus)}"
 
 
-def ext_field(p: int, k: int, skip: int = 0) -> ExtField:
-    """Deterministic F_{p^k}: lexicographically smallest irreducible modulus."""
-    if p == 2 or not is_prime(p):
-        raise InvalidCharacteristic(f"need an odd prime, got {p}")
-    return ExtField(p, k, smallest_irreducible(p, k, skip=skip))
+def ext_field(p: int, k: int, skip: int = 0) -> FiniteField:
+    """Deterministic F_{p^k}: lexicographically smallest irreducible
+    modulus, or the ``skip``-th after it; ext_field(p, 1) is F_p."""
+    require_odd_prime(p)
+    return FiniteField(p, smallest_irreducible(p, k, skip=skip))

@@ -411,3 +411,51 @@ def test_schema_check_agrees_with_jsonschema(name, mutations):
 def test_schema_check_refuses_unknown_keywords(schema):
     with pytest.raises(NotImplementedError):
         validate({"a": "x"}, schema)
+
+
+def _usage_error(capsys, argv):
+    """The exit code of an argparse usage error, with nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert capsys.readouterr().out == ""
+    return exc.value.code
+
+
+@pytest.mark.parametrize("ell", ["7,x", ",", "", "7,,11"])
+def test_certify_ell_must_be_a_list_of_integers(capsys, cache_dir, ell):
+    argv = ["certify", "--ell", ell, "--cache-dir", cache_dir]
+    assert _usage_error(capsys, argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--kmax", "0"], ["count", "--kmax", "-2"],
+    ["zeta", "--kmax", "-1"], ["count", "--kmax", "x"],
+    ["count", "--workers", "-1"], ["count", "--workers", "0"],
+    ["count", "--budget", "-1"], ["zeta", "--budget", "0"],
+], ids=" ".join)
+def test_vacuous_counting_arguments_are_usage_errors(capsys, cache_dir, argv):
+    argv = argv + ["--q", "3", "--s", "2", "--cache-dir", cache_dir]
+    assert _usage_error(capsys, argv) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["triple"], ["certify", "--ell", "7"], ["hmodule", "--ellprime", "29"],
+    ["sl2", "--ell", "17", "--power", "6"], ["predict", "--s", "8/5"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", [["--budget", "100"],
+                                  ["--variant", "cyclic"]],
+                         ids=lambda flag: flag[0])
+def test_budget_and_variant_belong_to_count_and_zeta(capsys, cache_dir, argv,
+                                                     flag):
+    argv = argv + flag + ["--cache-dir", cache_dir]
+    assert _usage_error(capsys, argv) == 2
+
+
+def test_config_records_variant_for_counting_only(capsys, cache_dir):
+    _, predict, _ = _run(capsys, ["predict", "--s", "8/5",
+                                  "--cache-dir", cache_dir])
+    assert predict["config"] == {"s": "8/5"}
+    _, count, _ = _run(capsys, ["count", "--q", "3", "--s", "2", "--kmax", "1",
+                                "--cache-dir", cache_dir])
+    assert count["config"] == {"kmax": "1", "q": "3", "s": "2",
+                               "variant": "consecutive"}

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from g2rigid.errors import (BadCharacteristic, BadResidue, TooSmallPrime)
+from g2rigid import finitegroups
+from g2rigid.errors import (BadCharacteristic, BadResidue, TooLarge,
+                            TooSmallPrime)
 from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_decomposition,
                                   bigness_check, build_h56,
                                   conjugacy_classes, fixed_space_dim, h1_dim,
@@ -39,6 +41,12 @@ def test_h_requires_seventh_roots():
         build_h56(31)
     with pytest.raises(BadResidue):
         build_h56(7)
+
+
+def test_materialize_refuses_a_group_past_the_order_bound(monkeypatch):
+    monkeypatch.setattr(finitegroups, "ORDER_BOUND", 55)
+    with pytest.raises(TooLarge, match="order bound 55"):
+        build_h56(29).materialize()
 
 
 def test_h_cohomology_vanishes(h29):

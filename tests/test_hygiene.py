@@ -28,3 +28,35 @@ def _unused_imports(path):
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+ROOT = SRC.parent.parent
+
+
+def _defined_functions():
+    """(module, name) of every function and method defined in
+    src/g2rigid, dunders excepted."""
+    return sorted(
+        (path.name, node.name) for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
+def _referenced_names():
+    """Every Name and Attribute name read or written in src/, tests/ and
+    bench/ (a definition itself is neither)."""
+    names = set()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_function_is_referenced():
+    used = _referenced_names()
+    assert [d for d in _defined_functions() if d[1] not in used] == []
