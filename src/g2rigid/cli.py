@@ -133,7 +133,7 @@ def cmd_hmodule(args, cache):
         order = group.order
         classes = conjugacy_classes(group)
         decomp = adjoint_decomposition(group, classes)
-        big = bigness_check(group, decomposition=decomp)
+        big = bigness_check(group, decomposition=decomp, classes=classes)
         return {
             "ellprime": str(args.ellprime),
             "order": str(order),
@@ -179,11 +179,12 @@ def _series_terms(args, cache, k_max):
     workers = args.workers or min(4, os.cpu_count() or 1)
     ks = list(range(1, k_max + 1))
     if workers > 1:
+        # leaving the block waits for every term, so one failing k cancels
+        # no other; reading in k order raises the first failing k's error
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            recs = list(pool.map(one, ks))
-    else:
-        recs = [one(k) for k in ks]
-    return recs
+            futures = [pool.submit(one, k) for k in ks]
+        return [f.result() for f in futures]
+    return [one(k) for k in ks]
 
 
 def cmd_count(args, cache):

@@ -558,8 +558,8 @@ class BignessReport:
         }
 
 
-def bigness_check(group: FiniteMatrixGroup,
-                  decomposition=None) -> BignessReport:
+def bigness_check(group: FiniteMatrixGroup, decomposition=None,
+                  classes=None) -> BignessReport:
     """Adjoint H^0/H^1 vanishing plus the eigenspace-witness condition.
 
     The conjugation module is split into an explicit direct sum of
@@ -578,15 +578,26 @@ def bigness_check(group: FiniteMatrixGroup,
     any line h scales nontrivially.  Such summands are reported as
     failures rather than silently skipped.
 
-    ``decomposition`` is the group's ``adjoint_decomposition`` when the
-    caller already has it; otherwise it is computed here.
+    Candidates come from one element per conjugacy class, its first
+    (smallest) index.  Every summand and isotypic component is stable
+    under the group, and the corner functionals satisfy
+    lambda_{g h g^-1}(w) = lambda_h(g^-1 w g), so being a witness for a
+    summand, and the stable core a functional kills, depend only on the
+    class of h: the first witness found over representatives is the
+    first over all elements.
+
+    ``decomposition`` and ``classes`` are the group's
+    ``adjoint_decomposition`` and ``conjugacy_classes`` when the caller
+    already has them; otherwise they are computed here.
     """
     p, gens, elements = group.p, group.generators, group.materialize()
+    if classes is None:
+        classes = conjugacy_classes(group)
     h0 = fixed_space_dim(group)
     h1 = h1_dim(group, h0)
     if decomposition is None:
         try:
-            decomposition = adjoint_decomposition(group)
+            decomposition = adjoint_decomposition(group, classes)
         except NotOrdinary as exc:
             return BignessReport(h0_ad0_dim=h0, h1_ad0_dim=h1, witnesses=[],
                                  failures=[f"decomposition failed: {exc}"],
@@ -594,8 +605,8 @@ def bigness_check(group: FiniteMatrixGroup,
     ad_mats = [adjoint_action(g, p) for g in gens]
     ad_inv_t = [adjoint_action(inv_mod(g, p), p).T for g in gens]
     # candidate (element index, alpha, functional) triples
-    candidates = [(hi, alpha, lam) for hi, h in enumerate(elements)
-                  for alpha, lam in _eigen_functionals(h, p)]
+    candidates = [(hi, alpha, lam) for hi in sorted(c[0] for c in classes)
+                  for alpha, lam in _eigen_functionals(elements[hi], p)]
     witnesses = []
     failures = []
     summand_id = 0

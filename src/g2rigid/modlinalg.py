@@ -10,10 +10,9 @@ prime p < 2^31 (``MAX_MODULUS``); larger moduli are refused with
 
 numpy is loaded here, on first use, for the whole package: ``np`` below
 stands in for the module, and the layers that compute on arrays
-(``counting``, ``finitegroups``, ``g2forms``, ``zeta``) import it from
-here.  A command served from the cache computes on no array (except
-``zeta``, which finds roots), so it does not pay the import of numpy,
-about 150 ms on a 2-CPU machine.  The deferral goes through
+(``counting``, ``finitegroups``, ``g2forms``) import it from here.  A
+command served from the cache computes on no array, so it does not pay
+the import of numpy, about 150 ms on a 2-CPU machine.  The deferral goes through
 the ``import`` statement, which holds the per-module import lock, so
 threads that first touch numpy together (the ``count`` workers) wait for
 one complete import; ``importlib.util.LazyLoader`` gives no such

@@ -4,18 +4,23 @@ The sums T_k over growing extensions are exact integers of the shape
 sum of eps_i * lambda_i^k for Frobenius eigenvalues lambda_i with signs
 eps_i.  A minimal-length exact linear recurrence (Berlekamp-Massey over
 the rationals) recovers the model; only the root extraction is numeric.
+It runs in pure Python on ``complex``, without numpy: Aberth-Ehrlich
+iteration for the roots (``poly_roots``), then Gaussian elimination of
+the Vandermonde system for the signed counts (``solve_complex``).
 Weight bounds cap every |lambda_i| at q^3.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInBase
-from .modlinalg import np
 
 MODULUS_REL_TOL = 1e-6
+ROOT_MAX_ITER = 100  # iteration cap of each loop in the root finder
 
 
 def min_recurrence(terms):
@@ -54,6 +59,121 @@ def min_recurrence(terms):
                 c[i + m] -= coef * bi
             m += 1
     return [-x for x in c[1:l + 1]]
+
+
+def poly_roots(coeffs):
+    """Roots of x^n + coeffs[0] x^(n-1) + ... + coeffs[n-1], real coeffs.
+
+    Trailing zero coefficients give exact zero roots, as ``numpy.roots``
+    does.  The other roots come from Aberth-Ehrlich simultaneous
+    iteration (Aberth 1973) started from n points on the Cauchy-bound
+    circle, and are then paired by ``_pair_conjugates``: conjugate roots
+    are exact conjugates and a real root has imaginary part 0.0.
+    """
+    a = [float(x) for x in coeffs]
+    zeros = 0
+    while a and a[-1] == 0:
+        a.pop()
+        zeros += 1
+    roots = _pair_conjugates(_aberth(a)) if a else []
+    return roots + [0j] * zeros
+
+
+def _aberth(a):
+    """Aberth-Ehrlich iteration for the roots of x^n + a[0] x^(n-1) + ...,
+    with a[-1] nonzero.
+
+    The start points sit on the circle of Cauchy's radius, the positive
+    root of x^n - |a[0]| x^(n-1) - ... - |a[-1]|, which bounds every root
+    modulus.  Each root is updated in turn (Gauss-Seidel) and frozen after
+    a step taken where |p(z)| is within Horner's rounding error, or a step
+    below the last bit of z.
+    """
+    n = len(a)
+    eps = 2.0 ** -52
+    mags = [abs(x) for x in a]
+    # Newton from 2 max |a[i-1]|^(1/i), which lies above Cauchy's radius
+    # by at most a factor 2; the polynomial is increasing and convex there
+    r = 2 * max(m ** (1 / i) for i, m in enumerate(mags, 1))
+    for _ in range(ROOT_MAX_ITER):
+        f, df = 1.0, 0.0
+        for m in mags:
+            df = df * r + f
+            f = f * r - m
+        step = f / df
+        r -= step
+        if step <= 1e-3 * r:
+            break
+    z = [cmath.rect(r, 2 * math.pi * k / n + math.pi / (2 * n))
+         for k in range(n)]
+    active = list(range(n))
+    for _ in range(ROOT_MAX_ITER):
+        still = []
+        for i in active:
+            zi = z[i]
+            p, dp, bound = 1.0 + 0j, 0j, 1.0
+            for x, m in zip(a, mags):
+                dp = dp * zi + p
+                p = p * zi + x
+                bound = bound * abs(zi) + m
+            if p == 0:
+                continue
+            pull = sum(1 / (zi - z[j]) for j in range(n) if j != i)
+            w = p / (dp - p * pull)
+            z[i] = zi - w
+            if abs(w) > eps * abs(z[i]) and abs(p) > 4 * n * eps * bound:
+                still.append(i)
+        active = still
+        if not active:
+            break
+    return z
+
+
+def _pair_conjugates(roots):
+    """Make the roots of a real polynomial closed under conjugation.
+
+    Taken by decreasing |Im|, a root z is paired with the remaining root
+    w nearest its conjugate when w is closer to conj(z) than z itself
+    is; the pair becomes m, conj(m) for m the mean of z and conj(w).  An
+    unpaired root is real: its imaginary part becomes exactly 0.0.
+    """
+    rest = sorted(roots, key=lambda z: -abs(z.imag))
+    out = []
+    while rest:
+        z = rest.pop(0)
+        if rest:
+            j = min(range(len(rest)),
+                    key=lambda j: abs(rest[j] - z.conjugate()))
+            if abs(rest[j] - z.conjugate()) < 2 * abs(z.imag):
+                m = (z + rest.pop(j).conjugate()) / 2
+                out += [m, m.conjugate()]
+                continue
+        out.append(complex(z.real, 0.0))
+    return out
+
+
+def solve_complex(a, b):
+    """x with a x = b, by Gaussian elimination with partial pivoting.
+
+    ``a`` is a square list of rows of complex numbers; returns None when
+    a pivot is exactly zero (a singular system).
+    """
+    n = len(b)
+    m = [list(row) + [bi] for row, bi in zip(a, b)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
+        if m[piv][col] == 0:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            for c in range(col, n + 1):
+                m[r][c] -= f * m[col][c]
+    x = [0j] * n
+    for r in range(n - 1, -1, -1):
+        x[r] = (m[r][n] - sum(m[r][c] * x[c] for c in range(r + 1, n))) \
+            / m[r][r]
+    return x
 
 
 @dataclass
@@ -117,24 +237,21 @@ def zeta_analysis(series) -> ZetaReport:
     underdetermined = (len(terms) < 2 * length + 2
                        or any(c.denominator != 1 for c in rec))
     # connection polynomial x^L - rec[0] x^(L-1) - ... - rec[L-1]
-    poly = [1.0] + [-float(c) for c in rec]
-    roots = np.roots(poly) if length else np.array([])
+    roots = poly_roots([-float(c) for c in rec])
     # signed counts from the Vandermonde system on the first L terms
     counts = []
     if length:
-        v = np.array([[complex(r) ** k for r in roots]
-                      for k in range(1, length + 1)])
-        rhs = np.array([complex(t) for t in terms[:length]])
-        try:
-            coef = np.linalg.solve(v, rhs)
-        except np.linalg.LinAlgError:
-            coef = np.full(length, np.nan)
-        counts = [int(round(c.real)) if np.isfinite(c.real) else 0
-                  for c in coef]
+        coef = solve_complex([[r ** k for r in roots]
+                              for k in range(1, length + 1)],
+                             [complex(t) for t in terms[:length]])
+        # a singular system (an exactly zero pivot) gives every count 0
+        counts = [0] * length if coef is None else [
+            int(round(c.real)) if math.isfinite(c.real) else 0
+            for c in coef]
     q3 = float(q) ** 3
     eigenvalues = []
     for r, c in zip(roots, counts):
-        eigenvalues.append((abs(complex(r)), c, complex(r)))
+        eigenvalues.append((abs(r), c, r))
     eigenvalues.sort(key=lambda e: (-e[0], e[2].real, e[2].imag))
     max_mod = max((m for m, _, _ in eigenvalues), default=0.0)
     weight6 = sum(1 for m, _, _ in eigenvalues

@@ -129,6 +129,17 @@ def test_count_bad_s_exits_nonzero(capsys, cache_dir):
     assert "NotInBase" in doc["outputs"]["error"]
 
 
+def test_failed_count_lists_every_term_key(capsys, cache_dir):
+    """Every term runs even when one fails, so the error report, its
+    cache keys included, is the same on every rerun with many workers."""
+    argv = ["count", "--q", "3", "--s", "3", "--kmax", "4",
+            "--workers", "4", "--cache-dir", cache_dir]
+    docs = [_strip_duration(_run(capsys, argv)[1]) for _ in range(20)]
+    assert all(d == docs[0] for d in docs)
+    assert len(docs[0]["cache_keys"]) == 4
+    assert "NotInBase" in docs[0]["outputs"]["error"]
+
+
 def test_csv_output(capsys, cache_dir):
     code = main(["count", "--q", "3", "--s", "2", "--kmax", "2",
                  "--cache-dir", cache_dir, "--format", "csv"])

@@ -71,6 +71,20 @@ def test_h_bigness_honest_failure(h29):
     assert rep.verdict == "Fails"
 
 
+@pytest.mark.parametrize("ellprime", [29, 43])
+def test_bigness_over_class_representatives_is_the_full_scan(ellprime):
+    """Witnesses are sought over one element per conjugacy class; with
+    every element its own class (the scan over all elements) the report
+    is the same."""
+    group = build_h56(ellprime)
+    classes = conjugacy_classes(group)
+    decomp = adjoint_decomposition(group, classes)
+    full = bigness_check(group, decomposition=decomp,
+                         classes=[[i] for i in range(group.order)])
+    assert bigness_check(group, decomposition=decomp,
+                         classes=classes).to_json() == full.to_json()
+
+
 def test_scalar_group_bigness_trivial_case():
     group = FiniteMatrixGroup(29, [-np.eye(2, dtype=np.int64)])
     assert group.order == 2

@@ -8,6 +8,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from g2rigid.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -73,6 +75,25 @@ def test_warm_commands_leave_numpy_unloaded(capsys, tmp_path):
     warm = _fresh(argvs)
     assert "numpy" not in warm["modules"]
     assert [_strip(r) for r in warm["reports"]] == [_strip(r) for r in cold]
+
+
+ZETA = ["zeta", "--q", "3", "--s", "2", "--kmax", "8"]
+
+
+@pytest.mark.parametrize("first", [ZETA, ["count"] + ZETA[1:]],
+                         ids=["warm-zeta", "zeta-after-count"])
+def test_zeta_on_cached_terms_leaves_numpy_unloaded(capsys, tmp_path, first):
+    """Once its terms are cached, by an earlier zeta or by count, a zeta
+    in a fresh process finds its roots without numpy; its report is the
+    in-process one."""
+    cache = ["--cache-dir", str(tmp_path)]
+    main(first + cache)
+    capsys.readouterr()
+    fresh = _fresh([ZETA + cache])
+    main(ZETA + cache)
+    report = json.loads(capsys.readouterr().out)
+    assert "numpy" not in fresh["modules"]
+    assert _strip(fresh["reports"][0]) == _strip(report)
 
 
 def test_cold_count_first_uses_numpy_on_worker_threads(tmp_path):

@@ -1,11 +1,16 @@
+import ast
+import math
+import pathlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import g2rigid.zeta
 from g2rigid.counting import ChiSeries, chi_series
 from g2rigid.errors import NotInBase
-from g2rigid.zeta import (local_type_prediction, min_recurrence,
+from g2rigid.zeta import (MODULUS_REL_TOL, local_type_prediction,
+                          min_recurrence, poly_roots, solve_complex,
                           zeta_analysis)
 
 
@@ -80,6 +85,122 @@ def test_real_series_analysis():
     # flagged as underdetermined; the raw growth stays inside weight 6
     assert rep.weil_ok or rep.underdetermined
     assert all(r <= 7.0 for r in rep.term_ratios)
+
+
+@st.composite
+def _spectra(draw):
+    """Distinct nonzero Gaussian integers closed under conjugation: some
+    integers, some +-a pairs and some conjugate pairs a +- bi, b > 0."""
+    ints = draw(st.sets(st.integers(-30, 30).filter(bool), max_size=3))
+    pm = draw(st.sets(st.integers(1, 30), max_size=2))
+    pairs = draw(st.sets(st.tuples(st.integers(-30, 30), st.integers(1, 30)),
+                         max_size=2))
+    reals = sorted(ints | pm | {-a for a in pm})
+    return reals, sorted(pairs)
+
+
+def _gauss_pow(a, b, k):
+    """(a + bi)^k as an exact pair of integers."""
+    re, im = 1, 0
+    for _ in range(k):
+        re, im = re * a - im * b, re * b + im * a
+    return re, im
+
+
+def _poly(reals, pairs, zeros):
+    """Coefficients after the leading 1 of the monic integer polynomial
+    with these roots."""
+    poly = [1]
+    factors = ([[1, -r] for r in reals]
+               + [[1, -2 * a, a * a + b * b] for a, b in pairs]
+               + [[1, 0]] * zeros)
+    for f in factors:
+        out = [0] * (len(poly) + len(f) - 1)
+        for i, x in enumerate(poly):
+            for j, y in enumerate(f):
+                out[i + j] += x * y
+        poly = out
+    return poly[1:]
+
+
+def _assert_roots(found, reals, pairs):
+    """Found roots are the expected ones: moduli within MODULUS_REL_TOL,
+    real roots with imaginary part +0.0, conjugate pairs exact."""
+    expected = [complex(r) for r in reals] + [
+        complex(a, s * b) for a, b in pairs for s in (1, -1)]
+    assert len(found) == len(expected)
+    assert all(abs(x - y) <= MODULUS_REL_TOL * abs(y) for x, y in zip(
+        sorted(map(abs, found)), sorted(map(abs, expected))))
+    for z in found:
+        e = min(expected, key=lambda e: abs(e - z))
+        assert abs(z - e) <= MODULUS_REL_TOL * abs(e)
+        if e.imag == 0:
+            assert z.imag == 0.0 and math.copysign(1, z.imag) == 1
+        else:
+            assert found.count(z.conjugate()) == found.count(z)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_spectra(), st.integers(0, 2))
+def test_poly_roots_of_known_roots(spectrum, zeros):
+    reals, pairs = spectrum
+    found = poly_roots(_poly(reals, pairs, zeros))
+    nonzero = [z for z in found if z != 0]
+    assert len(found) - len(nonzero) == zeros
+    # zero roots come from trailing zero coefficients, exactly
+    assert all(repr(z) == "0j" for z in found if z == 0)
+    _assert_roots(nonzero, reals, pairs)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_spectra(), st.data())
+def test_zeta_analysis_recovers_a_known_spectrum(spectrum, data):
+    """Power sums of known eigenvalues and counts, with an explicit 0 that
+    no term sees, give back the eigenvalues and their signed counts."""
+    reals, pairs = spectrum
+    count = st.integers(-3, 3).filter(bool)
+    real_counts = {r: data.draw(count) for r in reals + [0]}
+    pair_counts = {ab: data.draw(count) for ab in pairs}
+    length = len(reals) + 2 * len(pairs)
+    terms = [sum(c * r ** k for r, c in real_counts.items())
+             + sum(2 * c * _gauss_pow(a, b, k)[0]
+                   for (a, b), c in pair_counts.items())
+             for k in range(1, 2 * length + 3)]
+    rep = zeta_analysis(_series(terms, q=5))
+    assert rep.model_length == length
+    assert not rep.underdetermined and not rep.inconsistent
+    found = [z for _, _, z in rep.eigenvalues]
+    _assert_roots(found, reals, pairs)
+    for _, c, z in rep.eigenvalues:
+        e = complex(round(z.real), round(z.imag))
+        assert c == (real_counts[e.real] if e.imag == 0
+                     else pair_counts[(e.real, abs(e.imag))])
+
+
+def test_constant_term_zero_recurrence_has_exact_zero_root():
+    # 1, 1, 2, 4, 8, ...: t_n = 2 t_(n-1) only from n = 3 on
+    terms = [1] + [2 ** k for k in range(7)]
+    assert min_recurrence(terms) == [2, 0]
+    rep = zeta_analysis(_series(terms))
+    assert [z for _, _, z in rep.eigenvalues] == [2, 0]
+    assert repr(rep.eigenvalues[1][2]) == "0j"
+    # the Vandermonde system has a zero column: every count reads 0
+    assert solve_complex([[2, 0], [4, 0]], terms[:2]) is None
+    assert [c for _, c, _ in rep.eigenvalues] == [0, 0]
+
+
+def test_zeta_computes_without_numpy():
+    """zeta finds roots and counts in pure Python: no ``np`` and no
+    import of numpy or of the array backend."""
+    path = pathlib.Path(g2rigid.zeta.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    modules = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names}
+    modules |= {n.module for n in ast.walk(tree)
+                if isinstance(n, ast.ImportFrom)}
+    assert "np" not in names and not hasattr(g2rigid.zeta, "np")
+    assert not modules & {"numpy", "modlinalg"}
 
 
 def test_local_type_prediction_examples():
