@@ -8,3 +8,8 @@ a caching command-line interface.
 """
 
 __version__ = "0.1.0"
+
+# enumeration budget of the naive cross-check of each series term (the
+# default of ``count --budget``); defined here so that the command line
+# reads it without executing ``counting``
+DEFAULT_SERIES_NAIVE_BUDGET = 10 ** 7

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 CACHE_ENV_VAR = "G2RIGID_CACHE_DIR"
 
@@ -68,6 +67,7 @@ class ResultCache:
         return None
 
     def put(self, payload, result) -> str:
+        import tempfile
         key = content_key(payload)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
@@ -80,14 +80,21 @@ class ResultCache:
                 os.unlink(tmp)
         return key
 
-    def fetch_or_compute(self, payload, compute):
-        """Cached result for the payload, computing and storing on a miss."""
+    def fetch(self, payload):
+        """Cached result for the payload, or None on a miss; the key and
+        the hit or miss are recorded."""
         self.keys_used.append(content_key(payload))
         result = self.get(payload)
-        if result is not None:
+        if result is None:
+            self.misses += 1
+        else:
             self.hits += 1
-            return result
-        self.misses += 1
-        result = compute()
-        self.put(payload, result)
+        return result
+
+    def fetch_or_compute(self, payload, compute):
+        """Cached result for the payload, computing and storing on a miss."""
+        result = self.fetch(payload)
+        if result is None:
+            result = compute()
+            self.put(payload, result)
         return result

@@ -5,33 +5,59 @@ version embedded, integers as decimal strings) and exits 0 exactly when
 every requested certificate passed.  Results of expensive computations
 are cached content-addressed; reruns with the same configuration produce
 byte-identical reports except for the duration field.
+
+Importing this module executes only ``cache`` and ``errors``.  Every
+other layer is registered in ``sys.modules`` through
+``importlib.util.LazyLoader`` and executes at its first attribute read,
+so a command executes only the layers it calls, and a report served from
+the cache costs argparse, json, hashlib and one record read.  A lazily
+registered module is not safe to touch first on several threads at once,
+so the ``count`` workers call only ``counting.series_term``, resolved on
+the main thread before the pool starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import importlib.util
 import json
 import os
 import sys
 import time
-from fractions import Fraction
 
+from . import DEFAULT_SERIES_NAIVE_BUDGET
 from .cache import ResultCache, resolve_cache_dir
-from .convolution import (Recipe, SearchBounds, g2_recipe, is_g2_profile,
-                          local_profile, realize, rigidity_index,
-                          search_g2_recipe)
-from .counting import DEFAULT_SERIES_NAIVE_BUDGET, series_term, ChiSeries
 from .errors import (BadCharacteristic, BadResidue, DegenerateInput,
                      DenominatorClash, InvalidCharacteristic, InvalidLambda,
                      InvalidRational, InvalidScalar, NotInBase, NotOrdinary,
                      RecipeFormatError, RecipeNotFound, TooLarge,
                      TooSmallPrime, WrongRank)
-from .finitegroups import (adjoint_decomposition, bigness_check, build_h56,
-                           conjugacy_classes, sym_power_rep)
-from .g2forms import (_profile_json, generation_certificate,
-                      invariant_form_space, lie_stabilizer_dim, reduce_mod)
-from .zeta import local_type_prediction, zeta_analysis
+
+
+def _register_lazily(name):
+    """The layer module ``g2rigid.<name>``, in ``sys.modules`` and on the
+    package, with its body executed at the first attribute read (the
+    ``importlib.util.LazyLoader`` recipe); a module already imported is
+    returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+convolution = _register_lazily("convolution")
+counting = _register_lazily("counting")
+finitegroups = _register_lazily("finitegroups")
+g2forms = _register_lazily("g2forms")
+zeta = _register_lazily("zeta")
+for _layer in ("matrix", "modlinalg", "rings"):  # read by the layers above
+    _register_lazily(_layer)
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas",
                            "report.schema.json")
@@ -52,11 +78,10 @@ def _recipe_from_args(args):
     if getattr(args, "recipe", None):
         with open(args.recipe, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-        return Recipe.from_lines(lines)
+        return convolution.Recipe.from_lines(lines)
     if getattr(args, "search", False):
-        bounds = SearchBounds()
-        return search_g2_recipe(bounds)
-    return g2_recipe()
+        return convolution.search_g2_recipe(convolution.SearchBounds())
+    return convolution.g2_recipe()
 
 
 def _triple_payload(recipe):
@@ -64,20 +89,20 @@ def _triple_payload(recipe):
 
 
 def _compute_triple_record(recipe):
-    t = realize(recipe)
-    d2, f2 = invariant_form_space(t, 2)
-    d3, f3 = invariant_form_space(t, 3)
-    stab = lie_stabilizer_dim((f3[0], f2[0])) if d2 and d3 else -1
-    profile = local_profile(t)
+    t = convolution.realize(recipe)
+    d2, f2 = g2forms.invariant_form_space(t, 2)
+    d3, f3 = g2forms.invariant_form_space(t, 3)
+    stab = g2forms.lie_stabilizer_dim((f3[0], f2[0])) if d2 and d3 else -1
+    profile = convolution.local_profile(t)
     return {
         "recipe": list(recipe.to_lines()),
         "matrices": [m.to_str_rows() for m in t.matrices],
         "a_infinity": t.a_infinity().to_str_rows(),
         "denominator": str(t.denominator()),
         "product_ok": t.product_relation_holds(),
-        "rigidity_index": str(rigidity_index(t)),
-        "profile": _profile_json(profile),
-        "profile_ok": is_g2_profile(profile),
+        "rigidity_index": str(convolution.rigidity_index(t)),
+        "profile": g2forms._profile_json(profile),
+        "profile_ok": convolution.is_g2_profile(profile),
         "invariant_form_dims": [str(d2), str(d3)],
         "lie_stabilizer_dim": str(stab),
     }
@@ -108,9 +133,10 @@ def cmd_certify(args, cache):
 
         def compute(ell=ell):
             if not realized:
-                realized.append(realize(recipe))
+                realized.append(convolution.realize(recipe))
             try:
-                report = generation_certificate(reduce_mod(realized[0], ell))
+                report = g2forms.generation_certificate(
+                    g2forms.reduce_mod(realized[0], ell))
                 return report.to_json()
             except _HANDLED_ERRORS as exc:
                 return {"ell": str(ell), "verdict": "Error",
@@ -129,11 +155,12 @@ def cmd_hmodule(args, cache):
     payload = {"kind": "hmodule", "ellprime": args.ellprime, "v": 1}
 
     def compute():
-        group = build_h56(args.ellprime)
+        group = finitegroups.build_h56(args.ellprime)
         order = group.order
-        classes = conjugacy_classes(group)
-        decomp = adjoint_decomposition(group, classes)
-        big = bigness_check(group, decomposition=decomp, classes=classes)
+        classes = finitegroups.conjugacy_classes(group)
+        decomp = finitegroups.adjoint_decomposition(group, classes)
+        big = finitegroups.bigness_check(group, decomposition=decomp,
+                                         classes=classes)
         return {
             "ellprime": str(args.ellprime),
             "order": str(order),
@@ -153,8 +180,8 @@ def cmd_sl2(args, cache):
     payload = {"kind": "sl2", "ell": args.ell, "power": args.power, "v": 1}
 
     def compute():
-        rep = sym_power_rep(args.ell, args.power)
-        decomp = adjoint_decomposition(rep)
+        rep = finitegroups.sym_power_rep(args.ell, args.power)
+        decomp = finitegroups.adjoint_decomposition(rep)
         return {"ell": str(args.ell), "power": str(args.power),
                 "decomposition": decomp.to_json()}
 
@@ -164,27 +191,37 @@ def cmd_sl2(args, cache):
 
 def _series_terms(args, cache, k_max):
     budget = args.budget if args.budget else DEFAULT_SERIES_NAIVE_BUDGET
+    payloads = [{"kind": "series-term", "q": args.q, "s": args.s, "k": k,
+                 "variant": args.variant, "naive_budget": budget, "v": 1}
+                for k in range(1, k_max + 1)]
+    # every record is read, and counting executed, on the main thread: a
+    # lazily registered module is not safe to touch first on many threads
+    recs = [cache.fetch(payload) for payload in payloads]
+    missing = [i for i, rec in enumerate(recs) if rec is None]
+    if not missing:
+        return recs
+    series_term = counting.series_term
 
-    def one(k):
-        payload = {"kind": "series-term", "q": args.q, "s": args.s, "k": k,
-                   "variant": args.variant, "naive_budget": budget, "v": 1}
-
-        def compute():
-            t, crossed = series_term(args.q, args.s, k, variant=args.variant,
-                                     naive_budget=budget)
-            return {"t": str(t), "cross_checked": crossed}
-
-        return cache.fetch_or_compute(payload, compute)
+    def compute(payload):
+        t, crossed = series_term(args.q, args.s, payload["k"],
+                                 variant=args.variant, naive_budget=budget)
+        result = {"t": str(t), "cross_checked": crossed}
+        cache.put(payload, result)
+        return result
 
     workers = args.workers or min(4, os.cpu_count() or 1)
-    ks = list(range(1, k_max + 1))
     if workers > 1:
+        import concurrent.futures
         # leaving the block waits for every term, so one failing k cancels
         # no other; reading in k order raises the first failing k's error
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(one, k) for k in ks]
-        return [f.result() for f in futures]
-    return [one(k) for k in ks]
+            futures = [pool.submit(compute, payloads[i]) for i in missing]
+        for i, future in zip(missing, futures):
+            recs[i] = future.result()
+    else:
+        for i in missing:
+            recs[i] = compute(payloads[i])
+    return recs
 
 
 def cmd_count(args, cache):
@@ -205,11 +242,12 @@ def cmd_count(args, cache):
 
 def cmd_zeta(args, cache):
     recs = _series_terms(args, cache, args.kmax)
-    series = ChiSeries(q=args.q, s=args.s % args.q, variant=args.variant,
-                       terms=[int(r["t"]) for r in recs],
-                       cross_checked=[k for k, r in enumerate(recs, 1)
-                                      if r["cross_checked"]])
-    report = zeta_analysis(series)
+    series = zeta.ChiSeries(q=args.q, s=args.s % args.q,
+                            variant=args.variant,
+                            terms=[int(r["t"]) for r in recs],
+                            cross_checked=[k for k, r in enumerate(recs, 1)
+                                           if r["cross_checked"]])
+    report = zeta.zeta_analysis(series)
     outputs = {"series": series.to_json(), "analysis": report.to_json()}
     passed = (not report.inconsistent) and \
         (report.weil_ok or report.underdetermined)
@@ -217,12 +255,13 @@ def cmd_zeta(args, cache):
 
 
 def cmd_predict(args, cache):
+    from fractions import Fraction
     try:
         s = Fraction(args.s)
     except (ValueError, ZeroDivisionError):
         raise InvalidRational(f"--s {args.s!r} is not a rational number") \
             from None
-    pred = local_type_prediction(s)
+    pred = zeta.local_type_prediction(s)
     return pred.to_json(), True
 
 
@@ -233,6 +272,14 @@ def _positive_int(text):
     n = int(text)  # argparse reports a ValueError as a usage error
     if n < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return n
+
+
+def _nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
     return n
 
 
@@ -293,7 +340,7 @@ def build_parser():
     sp = sub.add_parser("sl2", parents=[common],
                         help="symmetric-power adjoint decomposition")
     sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--power", type=int, required=True)
+    sp.add_argument("--power", type=_nonnegative_int, required=True)
     sp.set_defaults(fn=cmd_sl2)
 
     sp = sub.add_parser("count", parents=[series],

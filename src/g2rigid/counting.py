@@ -16,15 +16,16 @@ theorem.  Both work on the field's integer codes in [0, p^k) (see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
+from . import DEFAULT_SERIES_NAIVE_BUDGET
 from .errors import NotInBase, TooLarge
 from .modlinalg import np
 from .rings import ext_field, is_prime, require_odd_prime
+from .zeta import ChiSeries
 
 DEFAULT_NAIVE_BUDGET = 10 ** 9
-DEFAULT_SERIES_NAIVE_BUDGET = 10 ** 7
 TRANSFER_BYTE_BOUND = 2 ** 29  # bytes of the transfer's largest array
 
 
@@ -286,26 +287,6 @@ def count_transfer(field_, s, variant="consecutive",
 
 # ---------------------------------------------------------------------------
 # extension-field series
-
-@dataclass
-class ChiSeries:
-    """Character sums T_k over the degree-k extensions of F_q."""
-
-    q: int
-    s: int
-    variant: str
-    terms: list
-    cross_checked: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "q": str(self.q),
-            "s": str(self.s),
-            "variant": self.variant,
-            "terms": [str(t) for t in self.terms],
-            "cross_checked_k": [str(k) for k in self.cross_checked],
-        }
-
 
 def chi_series(q: int, s: int, k_max: int = 7, variant="consecutive",
                naive_budget=DEFAULT_SERIES_NAIVE_BUDGET,

@@ -21,6 +21,10 @@ class TooSmallPrime(ValueError):
     """The prime is too small for the requested symmetric power."""
 
 
+class NegativePower(ValueError):
+    """A symmetric power below zero was requested."""
+
+
 class NotInBase(ValueError):
     """The specialization parameter hits a puncture (s in {0, 1})."""
 

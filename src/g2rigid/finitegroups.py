@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (BadCharacteristic, BadResidue, NotOrdinary, TooLarge,
-                     TooSmallPrime)
+from .errors import (BadCharacteristic, BadResidue, NegativePower,
+                     NotOrdinary, TooLarge, TooSmallPrime)
 from .g2forms import enveloping_dim
 from .modlinalg import (annihilator, extend_basis, in_rowspace,
                         intersect_rowspaces, inv_mod, matmul_mod, mod_array,
@@ -189,6 +189,8 @@ def _sym_power_matrix(a, b, c, d, m, p):
 
 
 def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
+    if m < 0:
+        raise NegativePower(f"need a power m >= 0, got {m}")
     if not is_prime(ell) or ell == 2:
         raise BadCharacteristic(f"need an odd prime, got {ell}")
     if ell <= 2 * m + 1:

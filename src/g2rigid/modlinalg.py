@@ -15,8 +15,11 @@ command served from the cache computes on no array, so it does not pay
 the import of numpy, about 150 ms on a 2-CPU machine.  The deferral goes through
 the ``import`` statement, which holds the per-module import lock, so
 threads that first touch numpy together (the ``count`` workers) wait for
-one complete import; ``importlib.util.LazyLoader`` gives no such
-guarantee.
+one complete import.  ``importlib.util.LazyLoader`` gives no such
+guarantee, which is why numpy keeps this stand-in: the worker threads
+touch ``np`` first.  The layer modules themselves, this one included,
+are registered lazily by ``cli`` with ``LazyLoader``, and each is first
+touched on the main thread.
 """
 
 from __future__ import annotations

@@ -7,20 +7,42 @@ the rationals) recovers the model; only the root extraction is numeric.
 It runs in pure Python on ``complex``, without numpy: Aberth-Ehrlich
 iteration for the roots (``poly_roots``), then Gaussian elimination of
 the Vandermonde system for the signed counts (``solve_complex``).
-Weight bounds cap every |lambda_i| at q^3.
+Weight bounds cap every |lambda_i| at q^3.  The series is a
+``ChiSeries``, defined here so that analysing cached terms does not
+execute ``counting``, which computes them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotInBase
 
 MODULUS_REL_TOL = 1e-6
 ROOT_MAX_ITER = 100  # iteration cap of each loop in the root finder
+
+
+@dataclass
+class ChiSeries:
+    """Character sums T_k over the degree-k extensions of F_q."""
+
+    q: int
+    s: int
+    variant: str
+    terms: list
+    cross_checked: list = field(default_factory=list)
+
+    def to_json(self):
+        return {
+            "q": str(self.q),
+            "s": str(self.s),
+            "variant": self.variant,
+            "terms": [str(t) for t in self.terms],
+            "cross_checked_k": [str(k) for k in self.cross_checked],
+        }
 
 
 def min_recurrence(terms):

@@ -82,12 +82,12 @@ def test_predict_malformed_s_is_an_input_error(capsys, cache_dir, s):
 def test_internal_value_error_propagates(cache_dir, monkeypatch):
     """A ValueError that is no input error (a Matrix shape check, say) is a
     fault of the program: main raises it instead of reporting it."""
-    from g2rigid import cli
+    from g2rigid import convolution
 
     def broken(recipe):
         raise ValueError("dimension mismatch in matrix product")
 
-    monkeypatch.setattr(cli, "realize", broken)
+    monkeypatch.setattr(convolution, "realize", broken)
     with pytest.raises(ValueError, match="dimension mismatch"):
         main(["triple", "--cache-dir", cache_dir])
 
@@ -257,7 +257,7 @@ def test_fmodule_reports_match_golden(capsys, cache_dir, name):
 
 
 def test_hmodule_decomposes_once(capsys, cache_dir, monkeypatch):
-    from g2rigid import cli, finitegroups
+    from g2rigid import finitegroups
     calls = []
     original = finitegroups.adjoint_decomposition
 
@@ -265,7 +265,6 @@ def test_hmodule_decomposes_once(capsys, cache_dir, monkeypatch):
         calls.append(rep)
         return original(rep, *args)
 
-    monkeypatch.setattr(cli, "adjoint_decomposition", counting)
     monkeypatch.setattr(finitegroups, "adjoint_decomposition", counting)
     _run(capsys, ["hmodule", "--ellprime", "29", "--cache-dir", cache_dir])
     assert len(calls) == 1
@@ -273,7 +272,7 @@ def test_hmodule_decomposes_once(capsys, cache_dir, monkeypatch):
 
 def test_hmodule_computes_classes_and_h0_once(capsys, cache_dir,
                                               monkeypatch):
-    from g2rigid import cli, finitegroups
+    from g2rigid import finitegroups
     calls = []
 
     def counted(name):
@@ -284,27 +283,25 @@ def test_hmodule_computes_classes_and_h0_once(capsys, cache_dir,
             return original(group, *args, **kwargs)
         return counting
 
-    for module, name in ((cli, "conjugacy_classes"),
-                         (finitegroups, "conjugacy_classes"),
-                         (finitegroups, "fixed_space_dim")):
-        monkeypatch.setattr(module, name, counted(name))
+    for name in ("conjugacy_classes", "fixed_space_dim"):
+        monkeypatch.setattr(finitegroups, name, counted(name))
     _run(capsys, ["hmodule", "--ellprime", "29", "--cache-dir", cache_dir])
     assert sorted(calls) == ["conjugacy_classes", "fixed_space_dim"]
 
 
 def test_certify_replays_recipe_only_on_a_miss(capsys, cache_dir,
                                                monkeypatch):
-    from g2rigid import cli
+    from g2rigid import convolution
     argv = ["certify", "--ell", "7,11", "--cache-dir", cache_dir]
     code, cold, _ = _run(capsys, argv)
     calls = []
-    original = cli.realize
+    original = convolution.realize
 
     def counting(recipe):
         calls.append(recipe)
         return original(recipe)
 
-    monkeypatch.setattr(cli, "realize", counting)
+    monkeypatch.setattr(convolution, "realize", counting)
     warm_code, warm, _ = _run(capsys, argv)
     assert calls == []
     assert (warm_code, _strip_duration(warm)) == (code, _strip_duration(cold))
@@ -447,6 +444,20 @@ def test_certify_ell_must_be_a_list_of_integers(capsys, cache_dir, ell):
 def test_vacuous_counting_arguments_are_usage_errors(capsys, cache_dir, argv):
     argv = argv + ["--q", "3", "--s", "2", "--cache-dir", cache_dir]
     assert _usage_error(capsys, argv) == 2
+
+
+@pytest.mark.parametrize("power", ["-1", "-6", "x"])
+def test_negative_sl2_power_is_a_usage_error(capsys, cache_dir, power):
+    argv = ["sl2", "--ell", "17", "--power", power, "--cache-dir", cache_dir]
+    assert _usage_error(capsys, argv) == 2
+
+
+def test_sl2_power_zero_is_the_trivial_module(capsys, cache_dir):
+    code, doc, _ = _run(capsys, ["sl2", "--ell", "17", "--power", "0",
+                                 "--cache-dir", cache_dir])
+    assert code == 0 and doc["passed"]
+    assert doc["outputs"]["decomposition"] == {"constituents": [["1", "1"]],
+                                               "module_dimension": "1"}
 
 
 @pytest.mark.parametrize("argv", [

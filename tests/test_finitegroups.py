@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from g2rigid import finitegroups
-from g2rigid.errors import (BadCharacteristic, BadResidue, TooLarge,
-                            TooSmallPrime)
+from g2rigid.errors import (BadCharacteristic, BadResidue, NegativePower,
+                            TooLarge, TooSmallPrime)
 from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_decomposition,
                                   bigness_check, build_h56,
                                   conjugacy_classes, fixed_space_dim, h1_dim,
@@ -113,6 +113,11 @@ def test_sl2_rejects_small_characteristic():
         sym_power_rep(13, 6)  # needs ell > 2m + 1 headroom for splitting
     with pytest.raises(BadCharacteristic):
         sym_power_rep(4, 2)
+
+
+def test_sl2_refuses_a_negative_power():
+    with pytest.raises(NegativePower):
+        sym_power_rep(17, -1)
 
 
 def test_f_ell_certificates_run_without_the_q_backend(triple, monkeypatch):

@@ -30,6 +30,24 @@ def test_every_import_is_used(path):
     assert _unused_imports(path) == []
 
 
+def _eager_layer_imports(path):
+    """The layers a module-level ``from .<layer> import`` or ``from .
+    import <layer>`` in ``path`` names."""
+    layers = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    named = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            named += [node.module] if node.module else \
+                [a.name for a in node.names]
+    return sorted(n for n in named if n in layers)
+
+
+def test_cli_imports_only_cache_and_errors_eagerly():
+    """Every other layer is registered lazily by ``cli``, so that a
+    command executes only the layers it calls."""
+    assert _eager_layer_imports(SRC / "cli.py") == ["cache", "errors"]
+
+
 ROOT = SRC.parent.parent
 
 

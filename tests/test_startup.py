@@ -1,7 +1,11 @@
-"""What a fresh process loads: numpy only once a command computes on
-arrays, jsonschema never.  Each test runs its commands in a new
-interpreter, since the test process itself has numpy loaded."""
+"""What a fresh process loads and executes: numpy only once a command
+computes on arrays, jsonschema never, and of the layer modules, which
+``cli`` registers lazily, only those a command reads.  Each test runs its
+commands in a new interpreter, since the test process itself has numpy
+and every layer loaded."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -16,11 +20,21 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LAYERS = sorted(f"g2rigid.{p.stem}" for p in (SRC / "g2rigid").glob("*.py")
                 if p.stem != "__init__")
 
-# run the commands given as JSON in argv[1], then print each report and
-# the names of the loaded modules
+# run the commands given as JSON in argv[1], then print each report, the
+# names of the loaded modules, those that importing g2rigid.cli loaded,
+# the g2rigid modules whose body has executed (a lazily registered module
+# is of a subclass of ModuleType until then) and the threads started
 RUNNER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, threading, types
+started = []
+_start = threading.Thread.start
+def _counted_start(self):
+    started.append(self.name)
+    _start(self)
+threading.Thread.start = _counted_start
+before = set(sys.modules)
 from g2rigid.cli import main
+imported = sorted(set(sys.modules) - before)
 reports = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
@@ -29,7 +43,12 @@ for argv in json.loads(sys.argv[1]):
         main(argv)
     reports.append(json.loads(out.getvalue()))
 print(json.dumps({"reports": reports,
-                  "modules": sorted(sys.modules)}))
+                  "modules": sorted(sys.modules), "imported": imported,
+                  "executed": sorted(
+                      n for n, m in sys.modules.items()
+                      if n.startswith("g2rigid.")
+                      and type(m) is types.ModuleType),
+                  "threads": started}))
 """
 
 
@@ -54,10 +73,22 @@ def _strip(report):
     return report
 
 
+# what a layer's body would import; none of it is needed to parse the
+# arguments or to serve a report from the cache
+LAYER_IMPORTS = ("dataclasses", "fractions", "concurrent.futures",
+                 "tempfile")
+EAGER = ["g2rigid.cache", "g2rigid.cli", "g2rigid.errors"]
+
+
 def test_import_loads_every_layer_and_neither_numpy_nor_jsonschema():
-    modules = set(_fresh([])["modules"])
+    """Every layer is registered in sys.modules, and none but cache and
+    errors has executed."""
+    fresh = _fresh([])
+    modules = set(fresh["modules"])
     assert set(LAYERS) <= modules
     assert "numpy" not in modules and "jsonschema" not in modules
+    assert fresh["executed"] == EAGER
+    assert set(LAYER_IMPORTS).isdisjoint(fresh["imported"])
 
 
 WARM = [["triple"], ["certify", "--ell", "7,11"],
@@ -78,6 +109,45 @@ def test_warm_commands_leave_numpy_unloaded(capsys, tmp_path):
 
 
 ZETA = ["zeta", "--q", "3", "--s", "2", "--kmax", "8"]
+
+
+@pytest.fixture(scope="module")
+def warm_cache(tmp_path_factory):
+    """A cache filled by the WARM commands and ZETA, and their reports."""
+    cache = ["--cache-dir", str(tmp_path_factory.mktemp("warm"))]
+    cold = {}
+    for argv in WARM + [ZETA]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv + cache)
+        cold[argv[0]] = json.loads(out.getvalue())
+    return cache, cold
+
+
+# the layers, besides cache and errors, a warm command may execute; None
+# for triple and certify, which build their recipe with convolution
+WARM_LAYERS = {"hmodule": [], "sl2": [], "count": [], "zeta": ["g2rigid.zeta"],
+               "triple": None, "certify": None}
+
+
+@pytest.mark.parametrize("argv", WARM + [ZETA], ids=lambda argv: argv[0])
+def test_warm_command_executes_only_the_layers_it_reads(warm_cache, argv):
+    """Served from the cache in a fresh process, a command executes no
+    layer it does not call and starts no thread; its report is the cold
+    one."""
+    cache, cold = warm_cache
+    fresh = _fresh([argv + cache])
+    assert _strip(fresh["reports"][0]) == _strip(cold[argv[0]])
+    layers = sorted(set(fresh["executed"]) - set(EAGER))
+    expected = WARM_LAYERS[argv[0]]
+    if expected is None:
+        assert not {"g2rigid.finitegroups", "g2rigid.g2forms",
+                    "g2rigid.counting", "g2rigid.zeta"} & set(layers)
+    else:
+        assert layers == expected
+    assert fresh["threads"] == []
+    assert not {"numpy", "concurrent.futures"} & set(fresh["modules"])
 
 
 @pytest.mark.parametrize("first", [ZETA, ["count"] + ZETA[1:]],
@@ -105,6 +175,22 @@ def test_cold_count_first_uses_numpy_on_worker_threads(tmp_path):
                                  str(tmp_path / w)]])["reports"][0]
                  for w in ("4", "1"))
     assert _strip(many) == _strip(one) and one["passed"]
+
+
+def test_cold_count_on_many_threads_with_a_short_switch_interval(tmp_path):
+    """In a fresh process that switches threads every microsecond, cold
+    counts with four workers, each on a fresh cache, give the one-worker
+    report: the first count executes counting on the main thread before
+    any worker runs."""
+    argv = ["count", "--q", "3", "--s", "2", "--kmax", "6"]
+    runs = [argv + ["--workers", "4", "--cache-dir", str(tmp_path / str(i))]
+            for i in range(4)]
+    many = json.loads(_python("import sys\nsys.setswitchinterval(1e-6)\n"
+                              + RUNNER, json.dumps(runs)))["reports"]
+    one = _fresh([argv + ["--workers", "1", "--cache-dir",
+                          str(tmp_path / "one")]])["reports"][0]
+    assert one["passed"]
+    assert [_strip(r) for r in many] == [_strip(one)] * len(runs)
 
 
 STRESS = """

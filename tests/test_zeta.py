@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import g2rigid.zeta
-from g2rigid.counting import ChiSeries, chi_series
+from g2rigid.counting import chi_series
 from g2rigid.errors import NotInBase
-from g2rigid.zeta import (MODULUS_REL_TOL, local_type_prediction,
+from g2rigid.zeta import (MODULUS_REL_TOL, ChiSeries, local_type_prediction,
                           min_recurrence, poly_roots, solve_complex,
                           zeta_analysis)
 
