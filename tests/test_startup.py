@@ -125,10 +125,11 @@ def warm_cache(tmp_path_factory):
     return cache, cold
 
 
-# the layers, besides cache and errors, a warm command may execute; None
-# for triple and certify, which build their recipe with convolution
-WARM_LAYERS = {"hmodule": [], "sl2": [], "count": [], "zeta": ["g2rigid.zeta"],
-               "triple": None, "certify": None}
+# the layers, besides cache and errors, a warm command may execute;
+# triple and certify build their recipe with convolution
+RECIPE = {"g2rigid.convolution", "g2rigid.matrix", "g2rigid.rings"}
+WARM_LAYERS = {"hmodule": set(), "sl2": set(), "count": set(),
+               "zeta": {"g2rigid.zeta"}, "triple": RECIPE, "certify": RECIPE}
 
 
 @pytest.mark.parametrize("argv", WARM + [ZETA], ids=lambda argv: argv[0])
@@ -139,13 +140,7 @@ def test_warm_command_executes_only_the_layers_it_reads(warm_cache, argv):
     cache, cold = warm_cache
     fresh = _fresh([argv + cache])
     assert _strip(fresh["reports"][0]) == _strip(cold[argv[0]])
-    layers = sorted(set(fresh["executed"]) - set(EAGER))
-    expected = WARM_LAYERS[argv[0]]
-    if expected is None:
-        assert not {"g2rigid.finitegroups", "g2rigid.g2forms",
-                    "g2rigid.counting", "g2rigid.zeta"} & set(layers)
-    else:
-        assert layers == expected
+    assert set(fresh["executed"]) - set(EAGER) <= WARM_LAYERS[argv[0]]
     assert fresh["threads"] == []
     assert not {"numpy", "concurrent.futures"} & set(fresh["modules"])
 
