@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 from .errors import (BadCharacteristic, BadResidue, NegativePower,
                      NotOrdinary, TooLarge, TooSmallPrime)
-from .g2forms import enveloping_dim
-from .modlinalg import (annihilator, extend_basis, in_rowspace,
-                        intersect_rowspaces, inv_mod, matmul_mod, mod_array,
-                        np, nullspace_mod, pivot_columns, rank_mod,
-                        row_basis, singular_shifts, span_closure)
+from .modlinalg import (annihilator, enveloping_dim, extend_basis,
+                        in_rowspace, intersect_rowspaces, inv_mod,
+                        matmul_mod, mod_array, np, nullspace_mod,
+                        pivot_columns, rank_mod, row_basis, singular_shifts,
+                        span_closure)
 from .rings import is_prime
 
 ORDER_BOUND = 100000  # materialize refuses a larger group
@@ -311,19 +311,32 @@ def _word_elements(mats, p, tries):
 
 
 def _composition_dims(mats, p, tries=12):
-    """Composition factor dimensions of the module with given action."""
+    """Composition factor dimensions of the module with given action.
+
+    A vector in the kernel of theta - a I, for each singular shift a of
+    each word element theta in turn, is spun up; a proper submodule
+    splits the module into it and its quotient.  The first time a spin
+    fills the module, Burnside's criterion is tested: an enveloping
+    algebra of all dim x dim matrices certifies the module absolutely
+    irreducible, so no later spin could split it.  Otherwise the search
+    goes on, and a module that no spin filled is tested at the end.
+    """
     dim = mats[0].shape[0]
     if dim == 1:
         return [1]
+    tested = False
     for theta in _word_elements(mats, p, tries):
         for a in singular_shifts(theta, p):
             vector = nullspace_mod(_shift(theta, a, p), p)[0]
             sub = _spin(mats, vector.reshape(1, -1), p)
-            d = sub.shape[0]
-            if d < dim:
+            if sub.shape[0] < dim:
                 return (_composition_dims(_restrict(mats, sub, p), p)
                         + _composition_dims(_quotient(mats, sub, p), p))
-    if enveloping_dim(mats, p) == dim * dim:
+            if not tested:
+                tested = True
+                if enveloping_dim(mats, p) == dim * dim:
+                    return [dim]
+    if not tested and enveloping_dim(mats, p) == dim * dim:
         return [dim]
     raise NotOrdinary("module neither splits nor certifies irreducible")
 

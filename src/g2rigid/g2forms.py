@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .convolution import RigidTuple, is_g2_profile, point_profile
 from .errors import DenominatorClash, WrongRank
 from .matrix import Matrix, partition_from_ranks, rational_matrix
-from .modlinalg import matmul_mod, mod_array, np, rank_mod, span_closure
+from .modlinalg import enveloping_dim, matmul_mod, mod_array, np, rank_mod
 from .rings import require_odd_prime
 
 DIM = 7
@@ -150,7 +149,21 @@ def _alt3_basis():
             for k in range(j + 1, DIM)]
 
 
-def _invariance_system(mats, degree, mul, dens):
+def _permanent(A, rows, cols):
+    """Permanent of the 2 x 2 submatrix of A on ``rows`` and ``cols``."""
+    (a, b), (i, j) = rows, cols
+    return A[a][i] * A[b][j] + A[b][i] * A[a][j]
+
+
+def _determinant(A, rows, cols):
+    """Determinant of the 3 x 3 submatrix of A on ``rows`` and ``cols``."""
+    (a, b, c), (i, j, k) = rows, cols
+    return (A[a][i] * (A[b][j] * A[c][k] - A[b][k] * A[c][j])
+            - A[a][j] * (A[b][i] * A[c][k] - A[b][k] * A[c][i])
+            + A[a][k] * (A[b][i] * A[c][j] - A[b][j] * A[c][i]))
+
+
+def _invariance_system(mats, degree, dens):
     """Linear system whose kernel is the space of forms of the given degree
     fixed by every matrix A = N / d, N in ``mats`` and d in ``dens``.
 
@@ -160,26 +173,17 @@ def _invariance_system(mats, degree, mul, dens):
     column c the entry at index r of the pullback of T_c by A, minus that
     of T_c, times d^degree: f(N[c, r]) - d^degree f(I[c, r]), where f is
     the permanent (degree 2) or the determinant (degree 3) of the
-    submatrix on rows c and columns r.  ``mul`` multiplies entries; over
-    F_ell it reduces after each product, so entries below 2^31 stay exact
-    in int64.
+    submatrix on rows c and columns r.  The matrices are nested lists of
+    ints and so is the system, exact whatever the size of the entries.
     """
     if degree not in (2, 3):
         raise ValueError("degree must be 2 or 3")
-    index = np.array(_sym2_basis() if degree == 2 else _alt3_basis())
-    rows, cols = index[:, None, :], index[None, :, :]
-
-    def f(A):
-        total = 0
-        for perm in itertools.permutations(range(degree)):
-            sign = 1 if degree == 2 else _perm_sign((0, 1, 2), perm)
-            terms = (A[cols[..., perm[s]], rows[..., s]] for s in range(degree))
-            total = total + sign * functools.reduce(mul, terms)
-        return total
-
-    eye = f(np.eye(DIM, dtype=mats[0].dtype))
-    return np.concatenate([f(A) - d ** degree * eye
-                           for A, d in zip(mats, dens)])
+    basis = _sym2_basis() if degree == 2 else _alt3_basis()
+    f = _permanent if degree == 2 else _determinant
+    ident = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    eye = [[f(ident, c, r) for c in basis] for r in basis]
+    return [[f(N, c, r) - d ** degree * e for c, e in zip(basis, eye_row)]
+            for N, d in zip(mats, dens) for r, eye_row in zip(basis, eye)]
 
 
 def invariant_form_space(t: RigidTuple, degree: int):
@@ -193,10 +197,9 @@ def invariant_form_space(t: RigidTuple, degree: int):
     """
     if t.n != DIM:
         raise WrongRank("invariant forms implemented for rank 7")
-    mats = [np.array(A.num, dtype=object) for A in t.matrices]
-    system = _invariance_system(mats, degree, operator.mul,
+    system = _invariance_system([A.num for A in t.matrices], degree,
                                 [A.den for A in t.matrices])
-    null = Matrix(system.tolist()).nullspace()
+    null = Matrix(system).nullspace()
     forms = []
     if degree == 2:
         for v in null:
@@ -298,29 +301,10 @@ def _power_ranks_mod(A, eps, ell):
 
 def _invariant_dim_mod(mats, degree, ell):
     """Dimension of the forms of the given degree fixed by ``mats`` mod ell."""
-    system = _invariance_system(mats, degree, lambda x, y: x * y % ell,
+    system = _invariance_system([A.tolist() for A in mats], degree,
                                 [1] * len(mats))
-    return system.shape[1] - rank_mod(system, ell)
-
-
-def enveloping_dim(mats, p) -> int:
-    """Dimension of the matrix algebra generated by the given matrices.
-
-    ``mats`` are int64 arrays mod ``p``.  The algebra is spanned level by
-    level from the identity: each level is the new part of the previous
-    one times every generator.
-    """
-    if len(mats) == 0:
-        return 0
-    n = mats[0].shape[0]
-
-    def products(front):
-        blocks = front.reshape(-1, n, n)
-        return np.concatenate([matmul_mod(blocks, g, p).reshape(-1, n * n)
-                               for g in mats])
-
-    identity = np.eye(n, dtype=np.int64).reshape(1, -1)
-    return span_closure(identity, products, p).shape[0]
+    return len(system[0]) - rank_mod(
+        [[x % ell for x in row] for row in system], ell)
 
 
 @dataclass

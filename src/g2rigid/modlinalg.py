@@ -8,6 +8,12 @@ Every matrix product goes through ``matmul_mod``, which is exact for any
 prime p < 2^31 (``MAX_MODULUS``); larger moduli are refused with
 ``TooLarge``, since there a single product (p - 1)^2 overflows int64.
 
+``enveloping_dim`` lives here, not in a certificate layer: it is
+Burnside's irreducibility test in the composition search of
+``finitegroups`` and the full-algebra condition of the generation
+certificate in ``g2forms``, and neither of those layers imports the
+other, so a module certificate does not execute the Q layer.
+
 numpy is loaded here, on first use, for the whole package: ``np`` below
 stands in for the module, and the layers that compute on arrays
 (``counting``, ``finitegroups``, ``g2forms``) import it from here.  A
@@ -210,6 +216,26 @@ def span_closure(rows, images, p):
     while frontier.shape[0] and basis.shape[0] < basis.shape[1]:
         basis, frontier = extend_basis(basis, images(frontier), p)
     return basis
+
+
+def enveloping_dim(mats, p) -> int:
+    """Dimension of the matrix algebra generated by the given matrices.
+
+    ``mats`` are int64 arrays mod ``p``.  The algebra is spanned level by
+    level from the identity: each level is the new part of the previous
+    one times every generator.
+    """
+    if len(mats) == 0:
+        return 0
+    n = mats[0].shape[0]
+
+    def products(front):
+        blocks = front.reshape(-1, n, n)
+        return np.concatenate([matmul_mod(blocks, g, p).reshape(-1, n * n)
+                               for g in mats])
+
+    identity = np.eye(n, dtype=np.int64).reshape(1, -1)
+    return span_closure(identity, products, p).shape[0]
 
 
 def singular_shifts(theta, p):

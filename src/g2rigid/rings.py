@@ -11,21 +11,41 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InvalidCharacteristic
+from .errors import InvalidCharacteristic, TooLarge
+
+
+# the first thirteen primes; as Miller-Rabin bases they decide primality
+# exactly below MILLER_RABIN_BOUND, the least strong pseudoprime to all of
+# them (Sorenson and Webster, Math. Comp. 86, 2017, about 3.3 * 10^24)
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; TooLarge past MILLER_RABIN_BOUND, where
+    these bases no longer decide."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= MILLER_RABIN_BOUND:
+        raise TooLarge(f"primality of {n} is not decided above "
+                       f"{MILLER_RABIN_BOUND}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from g2rigid import finitegroups
 from g2rigid.errors import (BadCharacteristic, BadResidue, NegativePower,
@@ -10,6 +11,7 @@ from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_decomposition,
                                   sym_power_rep)
 from g2rigid.g2forms import generation_certificate, reduce_mod
 from g2rigid.matrix import Matrix
+from g2rigid.modlinalg import enveloping_dim
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +137,57 @@ def test_f_ell_certificates_run_without_the_q_backend(triple, monkeypatch):
     assert (big.h0_ad0_dim, big.h1_ad0_dim) == (0, 0)
     assert adjoint_decomposition(sym_power_rep(17, 6)).pairs == (
         (1, 1), (3, 1), (5, 1), (7, 1), (9, 1), (11, 1), (13, 1))
+
+
+def _count_calls(monkeypatch, name):
+    """Record each call of ``finitegroups.<name>``, still made."""
+    calls = []
+    original = getattr(finitegroups, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(finitegroups, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("ell,m", [(17, 6), (23, 10), (11, 2)])
+def test_irreducible_leaf_takes_one_spin_and_one_burnside_test(
+        monkeypatch, ell, m):
+    """Sym^m is absolutely irreducible for ell > m: the first spin fills
+    it, and the Burnside test then made ends the search."""
+    gens = list(sym_power_rep(ell, m).generators)
+    spins = _count_calls(monkeypatch, "_spin")
+    burnside = _count_calls(monkeypatch, "enveloping_dim")
+    assert finitegroups._composition_dims(gens, ell) == [m + 1]
+    assert (len(spins), len(burnside)) == (1, 1)
+
+
+@st.composite
+def _block_triangular(draw):
+    """(p, block sizes, two generators): block upper triangular mod p with
+    random entries, each diagonal block generating its full matrix
+    algebra, so the blocks are the composition factors."""
+    p = draw(st.sampled_from([3, 11, 101]))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    row = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    mats = [np.array(draw(st.lists(row, min_size=n, max_size=n)),
+                     dtype=np.int64) for _ in range(2)]
+    start = 0
+    for size in sizes:
+        stop = start + size
+        for m in mats:
+            m[stop:, start:stop] = 0
+        assume(enveloping_dim([m[start:stop, start:stop] for m in mats], p)
+               == size * size)
+        start = stop
+    return p, sizes, mats
+
+
+@settings(deadline=None, max_examples=40)
+@given(_block_triangular())
+def test_composition_factors_of_a_block_triangular_module(case):
+    p, sizes, mats = case
+    assert sorted(finitegroups._composition_dims(mats, p)) == sorted(sizes)

@@ -1,15 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2rigid.convolution import RigidTuple
 from g2rigid.errors import DenominatorClash, InvalidCharacteristic
-from g2rigid.g2forms import (dickson_form, g2_bilinear, enveloping_dim,
+from g2rigid.g2forms import (_invariance_system, _invariant_dim_mod,
+                             dickson_form, g2_bilinear,
                              generation_certificate, invariant_form_space,
                              lie_stabilizer_dim, reduce_mod, stabilizes)
 from g2rigid.matrix import Matrix, rational_matrix
-from g2rigid.modlinalg import inv_mod, matmul_mod
+from g2rigid.modlinalg import enveloping_dim, inv_mod, matmul_mod
 
 
 def test_dickson_form_is_alternating():
@@ -50,6 +53,113 @@ def test_invariant_form_dims_of_the_identity_tuple():
     assert [invariant_form_space(ident, d)[0] for d in (2, 3)] == [28, 35]
     rep = generation_certificate(reduce_mod(ident, 7))
     assert rep.invariant_form_dims == (28, 35)
+
+
+def _basis(degree):
+    return list(itertools.combinations_with_replacement(range(7), 2)
+                if degree == 2 else itertools.combinations(range(7), 3))
+
+
+def _basis_tensor(c):
+    """T_c as {index tuple: coefficient}: e_k e_l^T + e_l e_k^T for a pair
+    (2 e_k e_k^T when k = l), the alternating tensor of a monomial for a
+    triple."""
+    tensor = {}
+    for perm in itertools.permutations(range(len(c))):
+        inversions = sum(perm[i] > perm[j] for i, j in
+                         itertools.combinations(range(len(c)), 2))
+        sign = 1 if len(c) == 2 else (-1) ** inversions
+        key = tuple(c[s] for s in perm)
+        tensor[key] = tensor.get(key, 0) + sign
+    return tensor
+
+
+def _reference_system(mats, degree, dens):
+    """Row r of the block of N / d, column c: the pullback of T_c by N at
+    index r, minus d^degree T_c at r, each pullback summed over the
+    support of the tensor."""
+    basis = _basis(degree)
+    tensors = [_basis_tensor(c) for c in basis]
+    rows = []
+    for N, d in zip(mats, dens):
+        for r in basis:
+            row = []
+            for tensor in tensors:
+                pulled = 0
+                for idx, v in tensor.items():
+                    term = v
+                    for a, i in zip(idx, r):
+                        term *= N[a][i]
+                    pulled += term
+                row.append(pulled - d ** degree * tensor.get(r, 0))
+            rows.append(row)
+    return rows
+
+
+def _rank_mod(rows, p):
+    """Rank mod p by Gaussian elimination on Python ints."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c] * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _square(entries):
+    return st.lists(st.lists(entries, min_size=7, max_size=7),
+                    min_size=7, max_size=7)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.lists(st.tuples(_square(st.integers(-10 ** 6, 10 ** 6)),
+                          st.integers(1, 10 ** 3)), min_size=1, max_size=3),
+       st.sampled_from([2, 3]))
+def test_invariance_system_is_the_tensor_pullback(pairs, degree):
+    mats = [N for N, _ in pairs]
+    dens = [d for _, d in pairs]
+    assert _invariance_system(mats, degree, dens) == \
+        _reference_system(mats, degree, dens)
+
+
+def _signed_permutation(perm, signs):
+    m = [[0] * 7 for _ in range(7)]
+    for i, (j, s) in enumerate(zip(perm, signs)):
+        m[j][i] = s
+    return m
+
+
+@st.composite
+def _matrices_mod(draw, ell):
+    """One to three 7 x 7 matrices with entries in [0, ell): dense random
+    ones, and signed permutations, which fix forms of both degrees."""
+    signed = st.builds(_signed_permutation, st.permutations(range(7)),
+                       st.lists(st.sampled_from([1, -1]), min_size=7,
+                                max_size=7))
+    mats = draw(st.lists(st.one_of(_square(st.integers(0, ell - 1)),
+                                   signed), min_size=1, max_size=3))
+    return [[[x % ell for x in row] for row in m] for m in mats]
+
+
+@pytest.mark.parametrize("ell", [7, 101, 2147483647])
+@pytest.mark.parametrize("degree", [2, 3])
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_invariant_dim_mod_is_the_nullity_of_the_reference(ell, degree,
+                                                           data):
+    mats = data.draw(_matrices_mod(ell))
+    system = _reference_system(mats, degree, [1] * len(mats))
+    nullity = len(system[0]) - _rank_mod(system, ell)
+    assert _invariant_dim_mod(np.array(mats, dtype=np.int64), degree,
+                              ell) == nullity
 
 
 def test_triple_stabilizer_is_g2(triple):

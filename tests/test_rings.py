@@ -3,10 +3,11 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from g2rigid.errors import InvalidCharacteristic
-from g2rigid.rings import (FiniteField, ext_field, is_irreducible, is_prime,
-                           poly_gcd, poly_mod, poly_mul, poly_trim,
-                           smallest_irreducible)
+from g2rigid import counting
+from g2rigid.errors import InvalidCharacteristic, TooLarge
+from g2rigid.rings import (MILLER_RABIN_BOUND, FiniteField, ext_field,
+                           is_irreducible, is_prime, poly_gcd, poly_mod,
+                           poly_mul, poly_trim, smallest_irreducible)
 
 
 def _trial_division_irreducible(f, p):
@@ -31,6 +32,38 @@ def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                       47, 53, 59]
+
+
+def _trial_division_prime(n):
+    """Reference: n > 1 has no divisor d with 1 < d <= sqrt(n)."""
+    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_is_trial_division_below_10_5():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if _trial_division_prime(n)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
+def test_ntt_primes_are_those_of_trial_division(monkeypatch, p):
+    """Candidates near 2^28 are tested by Miller-Rabin; trial division
+    picks the same primes, for a bound that needs several of them."""
+    bound = 2 * (p ** 4) ** 6
+    fast = counting._ntt_primes(p, bound)
+    monkeypatch.setattr(counting, "is_prime", _trial_division_prime)
+    assert counting._ntt_primes(p, bound) == fast
+    assert len(fast) > 1
+
+
+def test_is_prime_on_strong_pseudoprimes():
+    """The least strong pseudoprimes to the bases 2..31 and 2..37 are
+    composite; the one to 2..41, the bound, is refused."""
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    with pytest.raises(TooLarge):
+        is_prime(MILLER_RABIN_BOUND)
+    assert not is_prime(MILLER_RABIN_BOUND + 1)  # even
 
 
 def test_prime_field_rejects_bad_characteristic():

@@ -130,6 +130,11 @@ def warm_cache(tmp_path_factory):
 RECIPE = {"g2rigid.convolution", "g2rigid.matrix", "g2rigid.rings"}
 WARM_LAYERS = {"hmodule": set(), "sl2": set(), "count": set(),
                "zeta": {"g2rigid.zeta"}, "triple": RECIPE, "certify": RECIPE}
+# the layers, besides cache and errors, a cold command executes: hmodule
+# and sl2 compute on the F_p backend only, and triple computes over Q
+FP_LAYERS = {"g2rigid.finitegroups", "g2rigid.modlinalg", "g2rigid.rings"}
+COLD_LAYERS = {"hmodule": FP_LAYERS, "sl2": FP_LAYERS,
+               "triple": RECIPE | {"g2rigid.g2forms", "g2rigid.modlinalg"}}
 
 
 @pytest.mark.parametrize("argv", WARM + [ZETA], ids=lambda argv: argv[0])
@@ -143,6 +148,20 @@ def test_warm_command_executes_only_the_layers_it_reads(warm_cache, argv):
     assert set(fresh["executed"]) - set(EAGER) <= WARM_LAYERS[argv[0]]
     assert fresh["threads"] == []
     assert not {"numpy", "concurrent.futures"} & set(fresh["modules"])
+
+
+@pytest.mark.parametrize("argv", [["triple"]] + WARM[2:4],
+                         ids=lambda argv: argv[0])
+def test_cold_command_executes_only_the_layers_it_computes_with(tmp_path,
+                                                                argv):
+    """On an empty cache in a fresh process, hmodule and sl2 execute none
+    of g2forms, convolution and matrix, and triple, which computes over Q
+    on ``Matrix``, loads no numpy."""
+    fresh = _fresh([argv + ["--cache-dir", str(tmp_path)]])
+    assert fresh["reports"][0]["command"] == argv[0]
+    assert set(fresh["executed"]) - set(EAGER) == COLD_LAYERS[argv[0]]
+    if argv[0] == "triple":
+        assert "numpy" not in fresh["modules"]
 
 
 @pytest.mark.parametrize("first", [ZETA, ["count"] + ZETA[1:]],
