@@ -13,3 +13,23 @@ __version__ = "0.1.0"
 # default of ``count --budget``); defined here so that the command line
 # reads it without executing ``counting``
 DEFAULT_SERIES_NAIVE_BUDGET = 10 ** 7
+
+# the rank-7 triple's recipe, the first one ``convolution.search_g2_recipe``
+# finds; frozen so construction is instant and byte-identical across runs.
+# Defined here so that a cached ``triple`` or ``certify`` keys its records
+# by these lines without executing ``convolution``
+G2_RECIPE_LINES = (
+    "seed -1 -1",
+    "mc -1",
+    "twist -1 -1",
+    "mc -1",
+    "twist 1 -1",
+    "mc -1",
+    "twist -1 -1",
+    "mc -1",
+    "twist 1 -1",
+    "mc -1",
+    "twist -1 -1",
+    "mc -1",
+    "rotate",
+)

@@ -10,7 +10,10 @@ Importing this module executes only ``cache`` and ``errors``.  Every
 other layer is registered in ``sys.modules`` through
 ``importlib.util.LazyLoader`` and executes at its first attribute read,
 so a command executes only the layers it calls, and a report served from
-the cache costs argparse, json, hashlib and one record read.  A lazily
+the cache costs argparse, json, hashlib and one record read.  ``triple``
+and ``certify`` key their records by the pinned recipe lines, which the
+package itself defines, so served from the cache they execute no layer;
+the ``Recipe`` is parsed and replayed on a miss only.  A lazily
 registered module is not safe to touch first on several threads at once,
 so the ``count`` workers call only ``counting.series_term``, resolved on
 the main thread before the pool starts.
@@ -25,7 +28,7 @@ import os
 import sys
 import time
 
-from . import DEFAULT_SERIES_NAIVE_BUDGET
+from . import DEFAULT_SERIES_NAIVE_BUDGET, G2_RECIPE_LINES
 from .cache import ResultCache, resolve_cache_dir
 from .errors import (BadCharacteristic, BadResidue, DegenerateInput,
                      DenominatorClash, InvalidCharacteristic, InvalidLambda,
@@ -74,18 +77,19 @@ _HANDLED_ERRORS = (BadResidue, BadCharacteristic, TooLarge, NotOrdinary,
 # ---------------------------------------------------------------------------
 # command handlers: each returns (outputs dict, passed bool)
 
-def _recipe_from_args(args):
+def _recipe_lines(args):
+    """The canonical lines of the recipe ``triple`` or ``certify`` keys
+    its records by: those of the ``--recipe`` file or of the ``--search``
+    result, which ``convolution`` parses or finds, and otherwise the
+    pinned lines, which need no layer."""
     if getattr(args, "recipe", None):
         with open(args.recipe, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-        return convolution.Recipe.from_lines(lines)
+        return convolution.Recipe.from_lines(lines).to_lines()
     if getattr(args, "search", False):
-        return convolution.search_g2_recipe(convolution.SearchBounds())
-    return convolution.g2_recipe()
-
-
-def _triple_payload(recipe):
-    return {"kind": "triple", "recipe": list(recipe.to_lines()), "v": 1}
+        return convolution.search_g2_recipe(
+            convolution.SearchBounds()).to_lines()
+    return list(G2_RECIPE_LINES)
 
 
 def _compute_triple_record(recipe):
@@ -116,24 +120,25 @@ def _triple_passed(rec):
 
 
 def cmd_triple(args, cache):
-    recipe = _recipe_from_args(args)
-    rec = cache.fetch_or_compute(_triple_payload(recipe),
-                                 lambda: _compute_triple_record(recipe))
+    lines = _recipe_lines(args)
+    rec = cache.fetch_or_compute(
+        {"kind": "triple", "recipe": lines, "v": 1},
+        lambda: _compute_triple_record(convolution.Recipe.from_lines(lines)))
     return rec, _triple_passed(rec)
 
 
 def cmd_certify(args, cache):
-    recipe = _recipe_from_args(args)
-    realized = []  # the recipe is replayed on the first cache miss only
+    lines = _recipe_lines(args)
+    realized = []  # the recipe is built and replayed on the first miss only
     per_ell = []
     all_generate = True
     for ell in args.ell:
-        payload = {"kind": "certify", "recipe": list(recipe.to_lines()),
-                   "ell": ell, "v": 1}
+        payload = {"kind": "certify", "recipe": lines, "ell": ell, "v": 1}
 
         def compute(ell=ell):
             if not realized:
-                realized.append(convolution.realize(recipe))
+                realized.append(convolution.realize(
+                    convolution.Recipe.from_lines(lines)))
             try:
                 report = g2forms.generation_certificate(
                     g2forms.reduce_mod(realized[0], ell))
@@ -209,7 +214,8 @@ def _series_terms(args, cache, k_max):
         cache.put(payload, result)
         return result
 
-    workers = args.workers or min(4, os.cpu_count() or 1)
+    # one worker a missing term at most, so one term starts no pool
+    workers = min(args.workers or min(4, os.cpu_count() or 1), len(missing))
     if workers > 1:
         import concurrent.futures
         # leaving the block waits for every term, so one failing k cancels

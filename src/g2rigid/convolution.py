@@ -13,6 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import G2_RECIPE_LINES
 from .errors import (DegenerateInput, InvalidLambda, InvalidScalar,
                      RecipeFormatError, RecipeNotFound)
 from .matrix import Matrix, partition_from_ranks, rational_matrix
@@ -385,25 +386,6 @@ def _permute_profile(profile, perm):
     for kind, _ in perm:
         profile = tuple(profile[i] for i in _STEP_ORDER[kind])
     return profile
-
-
-# first recipe the bounded search finds; frozen so construction is instant
-# and byte-identical across runs.  search_g2_recipe rediscovers it.
-G2_RECIPE_LINES = (
-    "seed -1 -1",
-    "mc -1",
-    "twist -1 -1",
-    "mc -1",
-    "twist 1 -1",
-    "mc -1",
-    "twist -1 -1",
-    "mc -1",
-    "twist 1 -1",
-    "mc -1",
-    "twist -1 -1",
-    "mc -1",
-    "rotate",
-)
 
 
 def g2_recipe() -> Recipe:

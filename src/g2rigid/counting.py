@@ -23,7 +23,6 @@ from . import DEFAULT_SERIES_NAIVE_BUDGET
 from .errors import NotInBase, TooLarge
 from .modlinalg import np
 from .rings import ext_field, is_prime, require_odd_prime
-from .zeta import ChiSeries
 
 DEFAULT_NAIVE_BUDGET = 10 ** 9
 TRANSFER_BYTE_BOUND = 2 ** 29  # bytes of the transfer's largest array
@@ -290,8 +289,9 @@ def count_transfer(field_, s, variant="consecutive",
 
 def chi_series(q: int, s: int, k_max: int = 7, variant="consecutive",
                naive_budget=DEFAULT_SERIES_NAIVE_BUDGET,
-               modulus_skip: int = 0) -> ChiSeries:
-    """T_k = sum of chi(f_s) over F_{q^k}^6 for k = 1..k_max.
+               modulus_skip: int = 0):
+    """T_k = sum of chi(f_s) over F_{q^k}^6 for k = 1..k_max, as a
+    ``zeta.ChiSeries``.
 
     Uses the transfer path, cross-checked against the naive oracle on
     every extension small enough for ``naive_budget``.  The extension
@@ -299,6 +299,7 @@ def chi_series(q: int, s: int, k_max: int = 7, variant="consecutive",
     ``modulus_skip`` selects a later modulus to assert presentation
     independence.
     """
+    from .zeta import ChiSeries  # zeta executes only for a series
     terms = []
     checked = []
     for k in range(1, k_max + 1):

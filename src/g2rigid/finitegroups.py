@@ -281,7 +281,9 @@ def _quotient(mats, sub, p):
     """Action on the quotient by the invariant span of the rows of ``sub``
     (reduced echelon), in the standard coordinates off its pivots."""
     pivots = pivot_columns(sub)
-    compl = np.setdiff1d(np.arange(sub.shape[1]), pivots)
+    taken = set(pivots.tolist())  # np.setdiff1d would import numpy.ma
+    compl = np.array([j for j in range(sub.shape[1]) if j not in taken],
+                     dtype=np.intp)
     lift = sub[:, compl].T
     return [(M[np.ix_(compl, compl)]
              - matmul_mod(lift, M[np.ix_(pivots, compl)], p)) % p

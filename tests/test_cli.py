@@ -198,6 +198,56 @@ def test_triple_bad_recipe_file(capsys, cache_dir, tmp_path):
     assert "RecipeFormatError" in doc["outputs"]["error"]
 
 
+# the pinned recipe, with one step as -2/2 and blank space around words
+# and lines; it parses to the pinned recipe's canonical lines
+NONCANONICAL_RECIPE = """
+  seed  -1 -1
+
+mc -2/2
+twist -1 -1
+mc -1
+twist 1   -1
+mc -1
+twist -1 -1
+mc -1
+twist 1 -1
+mc -1
+twist -1 -1
+mc -1
+   rotate
+"""
+
+
+@pytest.mark.parametrize("argv", [["triple"], ["certify", "--ell", "7,11"]],
+                         ids=lambda argv: argv[0])
+def test_noncanonical_recipe_file_keys_the_default_records(capsys, cache_dir,
+                                                           tmp_path, argv):
+    """A recipe file that parses to the pinned recipe is served the
+    default's records, under the same cache keys."""
+    path = tmp_path / "recipe.txt"
+    path.write_text(NONCANONICAL_RECIPE)
+    code, default, _ = _run(capsys, argv + ["--cache-dir", cache_dir])
+    file_code, from_file, err = _run(
+        capsys, argv + ["--recipe", str(path), "--cache-dir", cache_dir])
+    assert from_file["cache_keys"] == default["cache_keys"]
+    assert (file_code, from_file["outputs"]) == (code, default["outputs"])
+    assert "misses: 0" in err
+
+
+@pytest.mark.parametrize("argv", [["triple"], ["certify", "--ell", "7"]],
+                         ids=lambda argv: argv[0])
+def test_malformed_recipe_file_writes_no_record(capsys, cache_dir, tmp_path,
+                                                argv):
+    path = tmp_path / "recipe.txt"
+    path.write_text("seed -1 -1\nmc -1\nfrobnicate\n")
+    code, doc, _ = _run(capsys, argv + ["--recipe", str(path),
+                                        "--cache-dir", cache_dir])
+    assert code == 1
+    assert doc["outputs"]["error"] == \
+        "RecipeFormatError: bad recipe line: 'frobnicate'"
+    assert doc["cache_keys"] == [] and os.listdir(cache_dir) == []
+
+
 @pytest.mark.parametrize("text,error", [
     ("seed a b\n", "RecipeFormatError: bad recipe line: 'seed a b'"),
     ("seed -1 -1\nmc 1/0\n", "RecipeFormatError: bad recipe line: 'mc 1/0'"),

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import g2rigid
 from g2rigid import cli, convolution
 from g2rigid.convolution import (_POINT_PERMS, G2_RECIPE_LINES, Recipe,
                                  RigidTuple,
@@ -192,6 +193,12 @@ def test_rigidity_index_falls_back_off_plus_minus_one(lines, monkeypatch):
                         lambda m: calls.append(m) or centralizer_dim(m))
     assert rigidity_index(t) == want == 2
     assert len(calls) == others
+
+
+def test_pinned_recipe_lines_have_one_definition():
+    """The package defines the pinned lines, so that the command line
+    keys its records without executing ``convolution``."""
+    assert g2rigid.G2_RECIPE_LINES is convolution.G2_RECIPE_LINES
 
 
 def test_search_rediscovers_pinned_recipe():

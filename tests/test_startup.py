@@ -22,8 +22,9 @@ LAYERS = sorted(f"g2rigid.{p.stem}" for p in (SRC / "g2rigid").glob("*.py")
 
 # run the commands given as JSON in argv[1], then print each report, the
 # names of the loaded modules, those that importing g2rigid.cli loaded,
-# the g2rigid modules whose body has executed (a lazily registered module
-# is of a subclass of ModuleType until then) and the threads started
+# those that the import and the commands loaded, the g2rigid modules whose
+# body has executed (a lazily registered module is of a subclass of
+# ModuleType until then) and the threads started
 RUNNER = """
 import contextlib, io, json, sys, threading, types
 started = []
@@ -44,6 +45,7 @@ for argv in json.loads(sys.argv[1]):
     reports.append(json.loads(out.getvalue()))
 print(json.dumps({"reports": reports,
                   "modules": sorted(sys.modules), "imported": imported,
+                  "loaded": sorted(set(sys.modules) - before),
                   "executed": sorted(
                       n for n, m in sys.modules.items()
                       if n.startswith("g2rigid.")
@@ -125,41 +127,49 @@ def warm_cache(tmp_path_factory):
     return cache, cold
 
 
-# the layers, besides cache and errors, a warm command may execute;
-# triple and certify build their recipe with convolution
-RECIPE = {"g2rigid.convolution", "g2rigid.matrix", "g2rigid.rings"}
+# the layers, besides cache and errors, a warm command may execute: only
+# zeta computes on its cached terms; triple and certify key their records
+# by the pinned recipe lines, which the package itself defines
 WARM_LAYERS = {"hmodule": set(), "sl2": set(), "count": set(),
-               "zeta": {"g2rigid.zeta"}, "triple": RECIPE, "certify": RECIPE}
+               "zeta": {"g2rigid.zeta"}, "triple": set(), "certify": set()}
 # the layers, besides cache and errors, a cold command executes: hmodule
-# and sl2 compute on the F_p backend only, and triple computes over Q
+# and sl2 compute on the F_p backend only, triple and certify replay the
+# recipe over Q, and count does not execute zeta
 FP_LAYERS = {"g2rigid.finitegroups", "g2rigid.modlinalg", "g2rigid.rings"}
-COLD_LAYERS = {"hmodule": FP_LAYERS, "sl2": FP_LAYERS,
-               "triple": RECIPE | {"g2rigid.g2forms", "g2rigid.modlinalg"}}
+Q_LAYERS = {"g2rigid.convolution", "g2rigid.g2forms", "g2rigid.matrix",
+            "g2rigid.modlinalg", "g2rigid.rings"}
+COLD_LAYERS = {"hmodule": FP_LAYERS, "sl2": FP_LAYERS, "triple": Q_LAYERS,
+               "certify": Q_LAYERS,
+               "count": {"g2rigid.counting", "g2rigid.modlinalg",
+                         "g2rigid.rings"}}
 
 
 @pytest.mark.parametrize("argv", WARM + [ZETA], ids=lambda argv: argv[0])
 def test_warm_command_executes_only_the_layers_it_reads(warm_cache, argv):
     """Served from the cache in a fresh process, a command executes no
-    layer it does not call and starts no thread; its report is the cold
-    one."""
+    layer it does not call and starts no thread, and one that calls no
+    layer imports nothing a layer would; its report is the cold one."""
     cache, cold = warm_cache
     fresh = _fresh([argv + cache])
     assert _strip(fresh["reports"][0]) == _strip(cold[argv[0]])
     assert set(fresh["executed"]) - set(EAGER) <= WARM_LAYERS[argv[0]]
     assert fresh["threads"] == []
     assert not {"numpy", "concurrent.futures"} & set(fresh["modules"])
+    if not WARM_LAYERS[argv[0]]:
+        assert set(LAYER_IMPORTS).isdisjoint(fresh["loaded"])
 
 
-@pytest.mark.parametrize("argv", [["triple"]] + WARM[2:4],
-                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", WARM, ids=lambda argv: argv[0])
 def test_cold_command_executes_only_the_layers_it_computes_with(tmp_path,
                                                                 argv):
     """On an empty cache in a fresh process, hmodule and sl2 execute none
-    of g2forms, convolution and matrix, and triple, which computes over Q
-    on ``Matrix``, loads no numpy."""
+    of g2forms, convolution and matrix, count does not execute zeta, and
+    triple, which computes over Q on ``Matrix``, loads no numpy.  None
+    loads ``numpy.ma``."""
     fresh = _fresh([argv + ["--cache-dir", str(tmp_path)]])
     assert fresh["reports"][0]["command"] == argv[0]
     assert set(fresh["executed"]) - set(EAGER) == COLD_LAYERS[argv[0]]
+    assert "numpy.ma" not in fresh["modules"]
     if argv[0] == "triple":
         assert "numpy" not in fresh["modules"]
 
@@ -189,6 +199,19 @@ def test_cold_count_first_uses_numpy_on_worker_threads(tmp_path):
                                  str(tmp_path / w)]])["reports"][0]
                  for w in ("4", "1"))
     assert _strip(many) == _strip(one) and one["passed"]
+
+
+def test_cold_one_term_count_starts_no_thread(tmp_path):
+    """A cold count of one term asks for four workers but has one term to
+    compute, so in its fresh process it starts no thread and imports no
+    ``concurrent.futures``; its report is the one-worker report."""
+    argv = ["count", "--q", "3", "--s", "2", "--kmax", "1"]
+    many, one = (_fresh([argv + ["--workers", w, "--cache-dir",
+                                 str(tmp_path / w)]]) for w in ("4", "1"))
+    assert many["threads"] == []
+    assert "concurrent.futures" not in many["modules"]
+    assert _strip(many["reports"][0]) == _strip(one["reports"][0])
+    assert one["reports"][0]["passed"]
 
 
 def test_cold_count_on_many_threads_with_a_short_switch_interval(tmp_path):
