@@ -16,12 +16,15 @@ package itself defines, so served from the cache they execute no layer;
 the ``Recipe`` is parsed and replayed on a miss only.  A lazily
 registered module is not safe to touch first on several threads at once,
 so the ``count`` workers call only ``counting.series_term``, resolved on
-the main thread before the pool starts.
+the main thread before the pool starts.  A process enters through
+``run``, which freezes the heap once the report is written, so that
+interpreter shutdown does not collect what the imports created.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib.util
 import json
 import os
@@ -461,5 +464,19 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
+def run():
+    """The process entry point: ``main``, then exit with its code.
+
+    Once the report and the cache line are written, ``gc.freeze`` moves
+    every live object to the permanent generation, so the collections of
+    interpreter shutdown skip the objects of numpy and of the layers.
+    atexit handlers, the flush of stdio and C-library shutdown still run,
+    as ``os._exit`` would not let them.  ``main`` freezes nothing: tests
+    and the bench tracer call it many times in one process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -175,7 +175,8 @@ def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
     Each factor reads at most two coordinates; its chi table over them
     comes from ``LinearFactor.value`` and quad_char, independently of the
     transfer path.  For each x1 the int8 product of the tables is formed
-    by broadcasting at every point of the remaining five axes and summed.
+    by broadcasting at every point of the remaining five axes and summed;
+    the products at full size are taken in place in one buffer.
     """
     n = field_.size
     if n ** 6 > budget:
@@ -187,11 +188,17 @@ def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
     # tables reading x2 come last: only they are multiplied at full size
     tables.sort(key=lambda t: t.shape[1:])
     sign = np.int8(chi[s])
+    full = (n,) * 5
+    buffer = np.empty(full, dtype=np.int8)
     n_nonzero = t_chi = 0
     for x1 in range(n):
         prod = sign
         for t in tables:
-            prod = prod * t[x1 if t.shape[0] == n else 0]
+            row = t[x1 if t.shape[0] == n else 0]
+            if np.broadcast_shapes(np.shape(prod), row.shape) == full:
+                prod = np.multiply(prod, row, out=buffer)
+            else:
+                prod = prod * row
         n_nonzero += int(np.count_nonzero(prod))
         t_chi += int(prod.sum(dtype=np.int64))
     return n_nonzero, t_chi

@@ -443,7 +443,9 @@ def h1_dim(group: FiniteMatrixGroup, h0=None) -> int:
     A cocycle f with f(gh) = f(g)·h + f(h) is determined by its values on
     the generators; propagating those symbolic values over the Cayley
     graph and collecting the consistency equations cuts out the cocycle
-    space, from which the coboundary dimension is subtracted.  ``h0`` is
+    space, from which the coboundary dimension is subtracted.  B^1 lies in
+    Z^1, so the relations never cut Z^1 below B^1: once they reach that
+    rank, H^1 = 0 and the propagation stops.  ``h0`` is
     ``fixed_space_dim(group)`` when the caller already has it.
     """
     p = group.p
@@ -451,6 +453,9 @@ def h1_dim(group: FiniteMatrixGroup, h0=None) -> int:
     n = gens.shape[1]
     n2 = n * n
     k = len(gens)
+    if h0 is None:
+        h0 = fixed_space_dim(group)
+    b1 = (n2 - 1) - h0
     # right Cayley graph: times[si][gi] is the index of element gi * gen si
     times = [_positions(elements, matmul_mod(elements, s, p)) for s in gens]
     # right action matrices X -> g^-1 X g
@@ -481,12 +486,10 @@ def h1_dim(group: FiniteMatrixGroup, h0=None) -> int:
                     diff = (expr[hi] - cand) % p
                     if diff.any():
                         relations, _ = extend_basis(relations, diff, p)
+                        if unknowns - relations.shape[0] == b1:
+                            return 0
         frontier = nxt
-    if h0 is None:
-        h0 = fixed_space_dim(group)
-    z1 = unknowns - relations.shape[0]
-    b1 = (n2 - 1) - h0
-    return z1 - b1
+    return unknowns - relations.shape[0] - b1
 
 
 def _eigen_functionals(h, p: int):

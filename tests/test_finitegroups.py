@@ -5,13 +5,13 @@ from hypothesis import assume, given, settings, strategies as st
 from g2rigid import finitegroups
 from g2rigid.errors import (BadCharacteristic, BadResidue, NegativePower,
                             TooLarge, TooSmallPrime)
-from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_decomposition,
-                                  bigness_check, build_h56,
-                                  conjugacy_classes, fixed_space_dim, h1_dim,
-                                  sym_power_rep)
+from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_action,
+                                  adjoint_decomposition, bigness_check,
+                                  build_h56, conjugacy_classes,
+                                  fixed_space_dim, h1_dim, sym_power_rep)
 from g2rigid.g2forms import generation_certificate, reduce_mod
 from g2rigid.matrix import Matrix
-from g2rigid.modlinalg import enveloping_dim
+from g2rigid.modlinalg import enveloping_dim, inv_mod, matmul_mod, rank_mod
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,68 @@ def test_materialize_refuses_a_group_past_the_order_bound(monkeypatch):
 def test_h_cohomology_vanishes(h29):
     assert fixed_space_dim(h29) == 0
     assert h1_dim(h29) == 0
+
+
+def _h1_full_propagation(group):
+    """dim H^1(G, trace-zero conjugation module), propagating the symbolic
+    generator values over every edge of the right Cayley graph and taking
+    the rank of all the consistency equations at the end."""
+    p, gens, elements = group.p, group.generators, group.materialize()
+    n2 = gens.shape[1] ** 2
+    unknowns = len(gens) * n2
+    index = {e.tobytes(): i for i, e in enumerate(elements)}
+    acts = [adjoint_action(inv_mod(g, p), p) for g in gens]
+    rows = [np.kron(np.eye(len(gens), dtype=np.int64),
+                    np.eye(gens.shape[1], dtype=np.int64).reshape(1, -1))]
+    expr = {0: np.zeros((n2, unknowns), dtype=np.int64)}
+    queue = [0]
+    for gi in queue:
+        for si, g in enumerate(gens):
+            hi = index[matmul_mod(elements[gi], g, p).tobytes()]
+            cand = matmul_mod(acts[si], expr[gi], p)
+            cand[:, si * n2:(si + 1) * n2] += np.eye(n2, dtype=np.int64)
+            cand %= p
+            if hi in expr:
+                rows.append((expr[hi] - cand) % p)
+            else:
+                expr[hi] = cand
+                queue.append(hi)
+    z1 = unknowns - rank_mod(np.concatenate(rows), p)
+    return z1 - ((n2 - 1) - fixed_space_dim(group))
+
+
+def _upper_unitriangular_f3():
+    gens = []
+    for i, j in ((0, 1), (1, 2)):
+        g = np.eye(3, dtype=np.int64)
+        g[i, j] = 1
+        gens.append(g)
+    return FiniteMatrixGroup(3, gens)
+
+
+def _s3_permutations_mod3():
+    swap = np.eye(3, dtype=np.int64)[[1, 0, 2]]
+    cycle = np.eye(3, dtype=np.int64)[[1, 2, 0]]
+    return FiniteMatrixGroup(3, [swap, cycle])
+
+
+@pytest.mark.parametrize("ellprime", [29, 43, 71])
+def test_h56_h1_is_the_full_propagation(ellprime):
+    """H^1 vanishes, so the propagation stops early; the answer is the one
+    over the whole Cayley graph."""
+    group = build_h56(ellprime)
+    assert h1_dim(group) == _h1_full_propagation(group) == 0
+
+
+@pytest.mark.parametrize("group, expected", [
+    (FiniteMatrixGroup(5, [np.array([[1, 1], [0, 1]])]), 1),
+    (_upper_unitriangular_f3(), 5),
+    (_s3_permutations_mod3(), 1),
+], ids=["unipotent-f5", "unitriangular-f3", "s3-mod3"])
+def test_nonzero_h1_is_the_full_propagation(group, expected):
+    """Where H^1 does not vanish the relations never reach the rank of
+    B^1, so every edge is propagated; the answer is the reference one."""
+    assert h1_dim(group) == _h1_full_propagation(group) == expected
 
 
 def test_h_bigness_honest_failure(h29):

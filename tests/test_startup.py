@@ -2,18 +2,23 @@
 computes on arrays, jsonschema never, and of the layer modules, which
 ``cli`` registers lazily, only those a command reads.  Each test runs its
 commands in a new interpreter, since the test process itself has numpy
-and every layer loaded."""
+and every layer loaded.  A ``python -m g2rigid.cli`` process gives the
+in-process report and exit code, and freezes its heap only on the way
+out."""
 
 import contextlib
+import gc
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from g2rigid import cli
 from g2rigid.cli import main
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -54,12 +59,18 @@ print(json.dumps({"reports": reports,
 """
 
 
-def _python(code, *args):
-    """stdout of ``code``, run in a new interpreter on these sources."""
+def _env(*paths):
+    """The environment with ``paths`` and these sources first on
+    PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+        p for p in (*paths, str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _python(code, *args):
+    """stdout of ``code``, run in a new interpreter on these sources."""
+    return subprocess.run([sys.executable, "-c", code, *args], env=_env(),
                           capture_output=True, text=True, check=True,
                           timeout=120).stdout
 
@@ -256,3 +267,63 @@ def test_first_numpy_use_on_many_threads_at_once():
     ``modlinalg.np`` at the same moment with a short switch interval; each
     gets numpy's own attributes."""
     assert _python(STRESS).strip() == "True"
+
+
+# an atexit handler, registered before anything else so that it runs
+# last, reports the objects frozen by then on stderr
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print(f"# frozen: {gc.get_freeze_count()}",
+                              file=sys.stderr))
+"""
+
+PROCESS = [(["triple"], 0), (["hmodule", "--ellprime", "29"], 1),
+           (["hmodule", "--ellprime", "30"], 1),
+           (["sl2", "--ell", "17", "--power", "6", "--format", "csv"], 0)]
+
+
+@pytest.mark.parametrize("argv, code", PROCESS,
+                         ids=["triple", "hmodule", "handled-error", "csv"])
+def test_module_run_is_the_in_process_run(capsys, tmp_path, argv, code):
+    """``python -m g2rigid.cli`` on an empty cache writes the report of
+    ``main`` on its own empty cache, apart from ``duration_s``, exits with
+    its code, writes the cache line last on stderr and leaves no
+    temporary record file; only then is its heap frozen."""
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    (probe / "sitecustomize.py").write_text(FREEZE_PROBE, encoding="utf-8")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "g2rigid.cli", *argv,
+         "--cache-dir", str(tmp_path / "fresh")],
+        env=_env(str(probe)), capture_output=True, text=True, timeout=120)
+    assert main(argv + ["--cache-dir", str(tmp_path / "inproc")]) == code
+    inproc = capsys.readouterr()
+    assert fresh.returncode == code
+    if "csv" in argv:
+        assert fresh.stdout == inproc.out
+    else:
+        report = _strip(json.loads(fresh.stdout))
+        assert report == _strip(json.loads(inproc.out))
+        assert ("error" in report["outputs"]) == ("30" in argv)
+    *lines, cache_line, frozen = fresh.stderr.splitlines()
+    assert cache_line == inproc.err.strip()
+    assert re.fullmatch(r"# cache hits: 0, misses: \d+", cache_line)
+    assert int(frozen.removeprefix("# frozen: ")) > 0
+    assert not lines
+    assert not list((tmp_path / "fresh").glob("*.tmp"))
+    assert gc.get_freeze_count() == 0
+
+
+def test_in_process_main_freezes_nothing(capsys, tmp_path):
+    main(["sl2", "--ell", "11", "--power", "2",
+          "--cache-dir", str(tmp_path)])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["g2rigid"].partition(":")
+    assert module == cli.__name__ and getattr(cli, name) is cli.run
