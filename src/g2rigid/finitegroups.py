@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 from .errors import (BadCharacteristic, BadResidue, NegativePower,
                      NotOrdinary, TooLarge, TooSmallPrime)
 from .modlinalg import (annihilator, enveloping_dim, extend_basis,
-                        in_rowspace, intersect_rowspaces, inv_mod,
-                        matmul_mod, mod_array, np, nullspace_mod,
-                        pivot_columns, rank_mod, row_basis, singular_shifts,
-                        span_closure)
+                        in_rowspace, inv_mod, matmul_mod, mod_array, np,
+                        nullspace_mod, pivot_columns, rank_mod, row_basis,
+                        singular_shifts, span_closure)
 from .rings import is_prime
 
 ORDER_BOUND = 100000  # materialize refuses a larger group
@@ -317,28 +316,34 @@ def _composition_dims(mats, p, tries=12):
 
     A vector in the kernel of theta - a I, for each singular shift a of
     each word element theta in turn, is spun up; a proper submodule
-    splits the module into it and its quotient.  The first time a spin
-    fills the module, Burnside's criterion is tested: an enveloping
-    algebra of all dim x dim matrices certifies the module absolutely
-    irreducible, so no later spin could split it.  Otherwise the search
-    goes on, and a module that no spin filled is tested at the end.
+    splits the module into it and its quotient.  When the spin fills the
+    module and that kernel is one-dimensional, Norton's test decides:
+    a vector of the kernel of (theta - a I)^T is spun under the
+    transposed generators.  A proper spin there is the annihilator of a
+    proper submodule, which splits the module; a full one certifies it
+    irreducible, and absolutely so, since End(M) is a division algebra
+    acting on the one-dimensional kernel, hence F_p.  A module no kernel
+    decided is tested by Burnside's criterion at the end: an enveloping
+    algebra of all dim x dim matrices.
     """
     dim = mats[0].shape[0]
     if dim == 1:
         return [1]
-    tested = False
     for theta in _word_elements(mats, p, tries):
         for a in singular_shifts(theta, p):
-            vector = nullspace_mod(_shift(theta, a, p), p)[0]
-            sub = _spin(mats, vector.reshape(1, -1), p)
+            shifted = _shift(theta, a, p)
+            kernel = nullspace_mod(shifted, p)
+            sub = _spin(mats, kernel[0].reshape(1, -1), p)
+            if sub.shape[0] == dim and len(kernel) == 1:
+                dual = _spin([M.T for M in mats],
+                             nullspace_mod(shifted.T, p)[0].reshape(1, -1), p)
+                if dual.shape[0] == dim:
+                    return [dim]
+                sub = annihilator(dual, p)
             if sub.shape[0] < dim:
                 return (_composition_dims(_restrict(mats, sub, p), p)
                         + _composition_dims(_quotient(mats, sub, p), p))
-            if not tested:
-                tested = True
-                if enveloping_dim(mats, p) == dim * dim:
-                    return [dim]
-    if not tested and enveloping_dim(mats, p) == dim * dim:
+    if enveloping_dim(mats, p) == dim * dim:
         return [dim]
     raise NotOrdinary("module neither splits nor certifies irreducible")
 
@@ -365,8 +370,8 @@ def adjoint_decomposition(rep, classes=None) -> DecompositionReport:
     The module is split along eigenspaces of explicit equivariant
     operators (class sums in the ordinary case; a Casimir operator built
     from generator logs for the symmetric-power SL2 case), and each piece
-    is certified by composition splitting plus the full-matrix-algebra
-    criterion for the irreducible leaves.
+    is certified by composition splitting, with Norton's test (or, failing
+    that, the full-matrix-algebra criterion) for the irreducible leaves.
 
     ``classes`` are the group's ``conjugacy_classes`` when the caller
     already has them; otherwise they are computed here.
@@ -501,23 +506,23 @@ def _eigen_functionals(h, p: int):
     row-flattened n x n matrices: the composition of the h-equivariant
     injection of the eigenline, the endomorphism w, and the h-equivariant
     projection back to the eigenline.
+
+    With b = h - alpha I of rank n - 1, a right kernel vector v and a left
+    one u, alpha is a simple root exactly when u.v != 0 (otherwise v lies
+    in the image of b, which u cuts out).  The eigenline is then spanned
+    by v, the image of b is its h-stable complement, and the projection
+    is u / (u.v).
     """
-    n = h.shape[0]
     for alpha in singular_shifts(h, p):
         b = _shift(h, alpha, p)
-        power = np.eye(n, dtype=np.int64)
-        for _ in range(n):
-            power = matmul_mod(power, b, p)
-        kernel = nullspace_mod(power, p)
-        if len(kernel) != 1:
+        right = nullspace_mod(b, p)
+        if len(right) != 1:
             continue
-        image = row_basis(power.T, p)  # column space of the power, as rows
-        t = np.concatenate([kernel[0].reshape(1, -1), image], axis=0).T
-        try:
-            ti = inv_mod(t, p)
-        except ZeroDivisionError:
+        v, u = right[0], nullspace_mod(b.T, p)[0]
+        uv = int(matmul_mod(u, v, p))
+        if uv == 0:
             continue
-        lam = np.outer(ti[0], t[:, 0]).reshape(-1) % p
+        lam = np.outer(u * pow(uv, p - 2, p) % p, v).reshape(-1) % p
         yield alpha, lam
 
 
@@ -543,18 +548,6 @@ def _split_into_summands(ad_mats, component, p):
     if covered.shape[0] != component.shape[0]:
         raise NotOrdinary("component did not split into a direct sum")
     return summands
-
-
-def _invariant_core_rows(space, ad_inv_t, p):
-    """Largest conjugation-stable subspace inside a row-space, as rows.
-
-    Rows transform by right multiplication with ``ad_inv_t``, so the
-    stable subspaces inside ``space`` are the annihilators of the
-    subspaces that contain its annihilator and are stable under the
-    transposed action; the largest is the annihilator of the one spun up
-    from ``space``'s annihilator.
-    """
-    return annihilator(_spin(ad_inv_t, annihilator(space, p), p), p)
 
 
 @dataclass
@@ -586,11 +579,14 @@ def bigness_check(group: FiniteMatrixGroup, decomposition=None,
     irreducible summands.  A witness for a summand W is a pair (h, alpha)
     such that h has a one-dimensional generalized alpha-eigenspace and the
     corner functional of that eigenline does not vanish on W.  On top of
-    the per-summand search, each isotypic piece is checked against *all*
-    of its irreducible submodules at once: the intersection over
-    candidates of the largest stable subspace killed by the candidate's
-    functional must be zero, otherwise a submodule with no witness exists
-    and is reported.
+    the per-summand search, each isotypic piece W is checked against *all*
+    of its irreducible submodules at once: the largest submodule of W on
+    which every candidate functional vanishes must be zero, otherwise a
+    submodule with no witness exists and is reported.  That submodule is
+    the annihilator of the spin of the functionals' restrictions to W
+    under the transposed action on W, so one spin in the dual of W per
+    piece gives its dimension.  An irreducible piece needs no spin: it is
+    uncovered exactly when its one summand has no witness.
 
     A one-dimensional summand on which every candidate element acts by a
     nontrivial scalar can never have a witness: the corner functional is
@@ -602,9 +598,10 @@ def bigness_check(group: FiniteMatrixGroup, decomposition=None,
     (smallest) index.  Every summand and isotypic component is stable
     under the group, and the corner functionals satisfy
     lambda_{g h g^-1}(w) = lambda_h(g^-1 w g), so being a witness for a
-    summand, and the stable core a functional kills, depend only on the
-    class of h: the first witness found over representatives is the
-    first over all elements.
+    summand depends only on the class of h, and the functionals of a
+    class lie in one spin: the first witness found over representatives
+    is the first over all elements, and the uncovered submodule is the
+    same.
 
     ``decomposition`` and ``classes`` are the group's
     ``adjoint_decomposition`` and ``conjugacy_classes`` when the caller
@@ -623,10 +620,11 @@ def bigness_check(group: FiniteMatrixGroup, decomposition=None,
                                  failures=[f"decomposition failed: {exc}"],
                                  verdict="Fails")
     ad_mats = [adjoint_action(g, p) for g in gens]
-    ad_inv_t = [adjoint_action(inv_mod(g, p), p).T for g in gens]
     # candidate (element index, alpha, functional) triples
     candidates = [(hi, alpha, lam) for hi in sorted(c[0] for c in classes)
                   for alpha, lam in _eigen_functionals(elements[hi], p)]
+    lams = np.array([lam for _, _, lam in candidates],
+                    dtype=np.int64).reshape(len(candidates), len(ad_mats[0]))
     witnesses = []
     failures = []
     summand_id = 0
@@ -643,25 +641,19 @@ def bigness_check(group: FiniteMatrixGroup, decomposition=None,
                     f"no eigenspace witness for summand {summand_id} "
                     f"(dimension {w.shape[0]})")
             summand_id += 1
-        # strengthen to every irreducible submodule of the isotypic piece
-        uncovered = component
-        for hi, alpha, lam in candidates:
-            if uncovered.shape[0] == 0:
-                break
-            vals = matmul_mod(component, lam, p)
-            if not vals.any():
-                continue
-            kernel = nullspace_mod(vals.reshape(1, -1), p)
-            if kernel:
-                kr = matmul_mod(np.array(kernel), component, p)
-                killed = _invariant_core_rows(row_basis(kr, p), ad_inv_t, p)
-            else:
-                killed = np.zeros((0, component.shape[1]), dtype=np.int64)
-            uncovered = intersect_rowspaces(uncovered, killed, p) \
-                if killed.shape[0] else killed
-        if uncovered.shape[0]:
+        # strengthen to every irreducible submodule of the isotypic piece:
+        # the largest submodule on which every candidate vanishes is the
+        # annihilator of the candidates' spin in the dual of the piece;
+        # for an irreducible piece that is the piece or nothing
+        if d == component.shape[0]:
+            uncovered = 0 if found else d
+        else:
+            dual = [r.T for r in _restrict(ad_mats, component, p)]
+            spanned = _spin(dual, matmul_mod(lams, component.T, p), p)
+            uncovered = component.shape[0] - spanned.shape[0]
+        if uncovered:
             failures.append(
-                f"component {ci}: {uncovered.shape[0]}-dimensional stable "
+                f"component {ci}: {uncovered}-dimensional stable "
                 "subspace admits no witness for any of its submodules")
     verdict = "Big" if (h0 == 0 and h1 == 0 and not failures) else "Fails"
     return BignessReport(h0_ad0_dim=h0, h1_ad0_dim=h1, witnesses=witnesses,

@@ -8,11 +8,11 @@ Every matrix product goes through ``matmul_mod``, which is exact for any
 prime p < 2^31 (``MAX_MODULUS``); larger moduli are refused with
 ``TooLarge``, since there a single product (p - 1)^2 overflows int64.
 
-``enveloping_dim`` lives here, not in a certificate layer: it is
-Burnside's irreducibility test in the composition search of
-``finitegroups`` and the full-algebra condition of the generation
-certificate in ``g2forms``, and neither of those layers imports the
-other, so a module certificate does not execute the Q layer.
+``enveloping_dim`` lives here, not in a certificate layer: it is the
+full-algebra condition of the generation certificate in ``g2forms`` and
+the Burnside fallback of the composition search in ``finitegroups`` (for
+a module no Norton test decided), and neither of those layers imports
+the other, so a module certificate does not execute the Q layer.
 
 numpy is loaded here, on first use, for the whole package: ``np`` below
 stands in for the module, and the layers that compute on arrays
@@ -48,8 +48,8 @@ np = _Numpy()
 
 MAX_MODULUS = 2 ** 31
 _INT64_MAX = 2 ** 63 - 1
-# entries per batch of shifted matrices in ``singular_shifts``; bounds its
-# working memory to a few MB whatever the prime
+# points per block at which ``singular_shifts`` evaluates a characteristic
+# polynomial; bounds its working memory to a few MB whatever the prime
 _SHIFT_BLOCK_ENTRIES = 2 ** 18
 
 
@@ -172,20 +172,6 @@ def in_rowspace(basis, v, p):
     return not _residue(basis, v, p).any()
 
 
-def intersect_rowspaces(u, v, p):
-    """Basis of the intersection of two row spaces."""
-    u = mod_array(u, p)
-    v = mod_array(v, p)
-    if u.shape[0] == 0 or v.shape[0] == 0:
-        return np.zeros((0, u.shape[1]), dtype=np.int64)
-    w = np.concatenate([u, (-v) % p], axis=0)
-    sols = nullspace_mod(w.T, p)
-    if not sols:
-        return np.zeros((0, u.shape[1]), dtype=np.int64)
-    combos = np.array([z[: u.shape[0]] for z in sols], dtype=np.int64)
-    return row_basis(matmul_mod(combos, u, p), p)
-
-
 def extend_basis(basis, rows, p):
     """Echelon insertion of a block of rows into a reduced echelon basis.
 
@@ -238,32 +224,63 @@ def enveloping_dim(mats, p) -> int:
     return span_closure(identity, products, p).shape[0]
 
 
-def singular_shifts(theta, p):
-    """The a in F_p, ascending, at which theta - a I is singular.
+def charpoly_mod(a, p):
+    """Coefficients of det(x I - a) mod p, constant term first (monic).
 
-    The shifts are tested in blocks by one batched elimination over the
-    (block, d, d) stack of shifted matrices, instead of one nullspace per
-    a; a column without a pivot marks its matrix singular.
+    ``a`` is reduced to upper Hessenberg form h by similarity: for each
+    column, a row swap and a column swap bring a nonzero subdiagonal entry
+    up, and the entries below it are cleared by one outer-product row
+    update, undone on the columns by one matrix-vector product.  The
+    leading k x k blocks of h then have characteristic polynomials
+    chi_k = (x - h[k-1, k-1]) chi_{k-1}
+            - sum_i h[k-1-i, k-1] h[k-1, k-2] ... h[k-i, k-i-1] chi_{k-1-i},
+    one vectorized product per k (Cohen, Alg. 2.2.9).
     """
-    d = theta.shape[0]
-    eye = np.eye(d, dtype=np.int64)
-    block = max(1, _SHIFT_BLOCK_ENTRIES // max(1, d * d))
-    for start in range(0, p, block):
-        shifts = np.arange(start, min(p, start + block), dtype=np.int64)
-        stack = (theta[None] - shifts[:, None, None] * eye) % p
-        batch = np.arange(len(shifts))
-        singular = np.zeros(len(shifts), dtype=bool)
-        for c in range(d):
-            nonzero = stack[:, c:, c] != 0
-            singular |= ~nonzero.any(axis=1)
-            pr = c + np.argmax(nonzero, axis=1)
-            top = stack[batch, c, c:].copy()
-            stack[batch, c, c:] = stack[batch, pr, c:]
-            stack[batch, pr, c:] = top
-            # fraction-free: row <- pivot * row - row[c] * pivot row
-            piv = stack[:, c, c][:, None, None]
-            stack[:, c + 1:, c + 1:] = (
-                piv * stack[:, c + 1:, c + 1:]
-                - stack[:, c + 1:, c][:, :, None] * stack[:, c, None, c + 1:]
-            ) % p
-        yield from (int(a) for a in shifts[singular])
+    h = mod_array(a, p)
+    n = h.shape[0]
+    for m in range(n - 2):
+        nz = np.nonzero(h[m + 1:, m])[0]
+        if nz.size == 0:
+            continue
+        i = m + 1 + int(nz[0])
+        if i != m + 1:
+            h[[m + 1, i]] = h[[i, m + 1]]
+            h[:, [m + 1, i]] = h[:, [i, m + 1]]
+        u = h[m + 2:, m] * pow(int(h[m + 1, m]), p - 2, p) % p
+        # rows i > m + 1 lose u_i times row m + 1; column m + 1 gains
+        # u_i times column i, so the result stays similar to ``a``
+        h[m + 2:] = (h[m + 2:] - np.outer(u, h[m + 1])) % p
+        h[:, m + 1] = (h[:, m + 1] + matmul_mod(h[:, m + 2:], u, p)) % p
+    h = h.tolist()
+    chi = np.zeros((n + 1, n + 1), dtype=np.int64)  # row k: chi_k
+    chi[0, 0] = 1
+    for k in range(1, n + 1):
+        chi[k, 1:] = chi[k - 1, :-1]
+        chi[k] = (chi[k] - h[k - 1][k - 1] * chi[k - 1]) % p
+        # weights[i - 1] = h[k-1-i][k-1] times the subdiagonal run above
+        weights = []
+        run = 1
+        for i in range(1, k):
+            run = run * h[k - i][k - i - 1] % p
+            weights.append(h[k - 1 - i][k - 1] * run % p)
+        if weights:
+            chi[k] = (chi[k] - matmul_mod(np.array(weights, dtype=np.int64),
+                                          chi[k - 2::-1], p)) % p
+    return chi[n]
+
+
+def singular_shifts(theta, p):
+    """The a in F_p, ascending, at which theta - a I is singular: the
+    roots of ``charpoly_mod(theta, p)``.
+
+    The polynomial is evaluated by Horner's rule at every a in F_p, in
+    blocks of ``_SHIFT_BLOCK_ENTRIES`` points.
+    """
+    coeffs = [int(c) for c in charpoly_mod(theta, p)[::-1]]
+    for start in range(0, p, _SHIFT_BLOCK_ENTRIES):
+        points = np.arange(start, min(p, start + _SHIFT_BLOCK_ENTRIES),
+                           dtype=np.int64)
+        value = np.zeros_like(points)
+        for c in coeffs:
+            value = (value * points + c) % p
+        yield from (int(a) for a in points[value == 0])

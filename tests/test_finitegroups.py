@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from g2rigid import finitegroups
+from g2rigid import finitegroups, modlinalg
 from g2rigid.errors import (BadCharacteristic, BadResidue, NegativePower,
-                            TooLarge, TooSmallPrime)
+                            NotOrdinary, TooLarge, TooSmallPrime)
 from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_action,
                                   adjoint_decomposition, bigness_check,
                                   build_h56, conjugacy_classes,
@@ -215,15 +215,161 @@ def _count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("ell,m", [(17, 6), (23, 10), (11, 2)])
-def test_irreducible_leaf_takes_one_spin_and_one_burnside_test(
+def test_irreducible_leaf_takes_two_spins_and_no_burnside_test(
         monkeypatch, ell, m):
-    """Sym^m is absolutely irreducible for ell > m: the first spin fills
-    it, and the Burnside test then made ends the search."""
+    """Sym^m is absolutely irreducible for ell > m: the first kernel
+    vector spins to the module, its kernel is a line, and the spin of a
+    kernel vector of the transpose fills the dual, so Norton's test ends
+    the search without Burnside's."""
     gens = list(sym_power_rep(ell, m).generators)
     spins = _count_calls(monkeypatch, "_spin")
     burnside = _count_calls(monkeypatch, "enveloping_dim")
     assert finitegroups._composition_dims(gens, ell) == [m + 1]
-    assert (len(spins), len(burnside)) == (1, 1)
+    assert (len(spins), len(burnside)) == (2, 0)
+
+
+@pytest.mark.parametrize("p,c", [(3, 2), (5, 3), (7, 6)])
+def test_module_irreducible_only_over_f_p_is_not_certified(p, c):
+    """x^2 - c has no root mod p, so <[[0, c], [1, 0]]> is irreducible over
+    F_p but splits over F_p^2: its endomorphisms are F_p^2.  Every word
+    element is then a scalar or invertible, so no one-dimensional kernel
+    reaches Norton's test, and Burnside's fallback refuses it."""
+    with pytest.raises(NotOrdinary):
+        finitegroups._composition_dims(
+            [np.array([[0, c], [1, 0]], dtype=np.int64)], p)
+
+
+@pytest.mark.parametrize("gens, failures", [
+    ([np.diag([1, -1])],
+     ["no eigenspace witness for summand 2 (dimension 1)",
+      "no eigenspace witness for summand 3 (dimension 1)",
+      "component 1: 2-dimensional stable subspace admits no witness for "
+      "any of its submodules"]),
+    ([np.diag([1, 2, 4])],
+     ["no eigenspace witness for summand 1 (dimension 1)",
+      "no eigenspace witness for summand 2 (dimension 1)",
+      "no eigenspace witness for summand 4 (dimension 1)",
+      "no eigenspace witness for summand 5 (dimension 1)",
+      "component 0: 4-dimensional stable subspace admits no witness for "
+      "any of its submodules",
+      "no eigenspace witness for summand 7 (dimension 1)",
+      "no eigenspace witness for summand 8 (dimension 1)",
+      "component 1: 2-dimensional stable subspace admits no witness for "
+      "any of its submodules"]),
+], ids=["sign", "order-28"])
+def test_uncovered_part_of_a_component_with_several_summands(gens,
+                                                             failures):
+    """Diagonal groups mod 29 split the adjoint module into components of
+    several one-dimensional summands.  The corner functionals of the
+    diagonal generator witness some of them; the uncovered part is the
+    largest submodule on which all of them vanish: 4 of the 7 dimensions
+    of component 0 in the order-28 case."""
+    rep = bigness_check(FiniteMatrixGroup(29, gens))
+    assert (rep.failures, rep.verdict) == (failures, "Fails")
+
+
+def test_large_primes_give_the_small_prime_reports():
+    """The module certificates at ell' = 100003 and ell = 10007 give the
+    constituents, H^0/H^1, verdict and failure lines of ell' = 29 and
+    ell = 17.  Eigenvalues cost O(p n) evaluations here, under a second
+    for both; an elimination per shift, O(p n^3), took over two minutes
+    at 100003 on a 2-CPU machine."""
+    def hmodule(ellprime):
+        group = build_h56(ellprime)
+        classes = conjugacy_classes(group)
+        decomp = adjoint_decomposition(group, classes)
+        big = bigness_check(group, decomposition=decomp, classes=classes)
+        return (decomp.pairs, big.h0_ad0_dim, big.h1_ad0_dim, big.verdict,
+                big.failures)
+
+    assert hmodule(100003) == hmodule(29)
+    assert adjoint_decomposition(sym_power_rep(10007, 6)).pairs == \
+        adjoint_decomposition(sym_power_rep(17, 6)).pairs
+
+
+def _corner_functionals_by_definition(h, p):
+    """(alpha, lam) from the generalized eigenspace ker (h - alpha)^n and
+    its complement im (h - alpha)^n, for every alpha in F_p."""
+    n = h.shape[0]
+    out = []
+    for alpha in range(p):
+        b = (h - alpha * np.eye(n, dtype=np.int64)) % p
+        power = np.eye(n, dtype=np.int64)
+        for _ in range(n):
+            power = matmul_mod(power, b, p)
+        kernel = modlinalg.nullspace_mod(power, p)
+        if len(kernel) != 1:
+            continue
+        t = np.concatenate([kernel[0].reshape(1, -1),
+                            modlinalg.row_basis(power.T, p)], axis=0).T
+        out.append((alpha, (np.outer(inv_mod(t, p)[0], t[:, 0])
+                            .reshape(-1) % p).tolist()))
+    return out
+
+
+@st.composite
+def _matrix_with_jordan_blocks(draw):
+    """(p, h): h = q j q^-1 mod p, j upper bidiagonal with eigenvalues
+    from a small set and ones or zeros above the diagonal, so simple
+    eigenvalues, repeated semisimple ones and Jordan blocks all occur."""
+    p = draw(st.sampled_from([3, 7, 29]))
+    n = draw(st.integers(1, 6))
+    j = np.diag(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    if n > 1:
+        j += np.diag(draw(st.lists(st.integers(0, 1), min_size=n - 1,
+                                   max_size=n - 1)), 1)
+    q = np.array(draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n,
+                                        max_size=n),
+                               min_size=n, max_size=n)), dtype=np.int64)
+    assume(rank_mod(q, p) == n)
+    return p, matmul_mod(matmul_mod(q, j % p, p), inv_mod(q, p), p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_matrix_with_jordan_blocks())
+def test_corner_functionals_match_their_definition(case):
+    """The left/right eigenvector pair gives the corner functional of each
+    one-dimensional generalized eigenspace, and skips an eigenvalue whose
+    Jordan block is larger than one."""
+    p, h = case
+    got = [(alpha, lam.tolist())
+           for alpha, lam in finitegroups._eigen_functionals(h, p)]
+    assert got == _corner_functionals_by_definition(h, p)
+
+
+def _count_pivots(monkeypatch):
+    """Running total of the pivots of every ``modlinalg.rref_mod`` call."""
+    total = [0]
+    original = modlinalg.rref_mod
+
+    def counted(rows, p):
+        reduced, pivots = original(rows, p)
+        total[0] += len(pivots)
+        return reduced, pivots
+
+    monkeypatch.setattr(modlinalg, "rref_mod", counted)
+    return total
+
+
+def test_module_certificates_stay_within_their_elimination_work(
+        monkeypatch):
+    """The H56 decomposition and bigness check at ell' = 29 and the Sym^6
+    decomposition at ell = 17 eliminate no more pivots than the
+    characteristic-polynomial eigenvalues, Norton's test, the eigenvector
+    pairs of the corner functionals and the dual strengthening need (3693
+    and 915 with per-shift eliminations, Burnside's test at every leaf,
+    a matrix power and inverse per functional and a strengthening loop per
+    candidate).  The counts are exact, so this guards the work without
+    timing noise."""
+    group = build_h56(29)
+    classes = conjugacy_classes(group)
+    pivots = _count_pivots(monkeypatch)
+    decomp = adjoint_decomposition(group, classes)
+    bigness_check(group, decomposition=decomp, classes=classes)
+    assert pivots[0] <= 1915
+    pivots[0] = 0
+    adjoint_decomposition(sym_power_rep(17, 6))
+    assert pivots[0] <= 551
 
 
 @st.composite

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2rigid.errors import TooLarge
 from g2rigid import modlinalg
-from g2rigid.modlinalg import (MAX_MODULUS, annihilator, extend_basis,
-                               matmul_mod, nullspace_mod, row_basis,
-                               singular_shifts, span_closure)
+from g2rigid.finitegroups import adjoint_action, build_h56, conjugacy_classes
+from g2rigid.modlinalg import (MAX_MODULUS, annihilator, charpoly_mod,
+                               extend_basis, matmul_mod, nullspace_mod,
+                               row_basis, singular_shifts, span_closure)
 
 P30 = 1073741789  # the largest prime below 2^30
 
@@ -53,6 +55,80 @@ def test_singular_shifts_match_per_shift_nullspaces(monkeypatch, p, d):
         assert list(singular_shifts(theta, p)) == _brute_singular(theta, p)
     # shifts tested in several small blocks give the same answer
     monkeypatch.setattr(modlinalg, "_SHIFT_BLOCK_ENTRIES", 2 * d * d)
+    assert list(singular_shifts(theta, p)) == _brute_singular(theta, p)
+
+
+def _det_mod(a, p):
+    """Determinant mod p by Gaussian elimination on Python integers."""
+    a = [[int(x) % p for x in row] for row in a.tolist()]
+    det = 1
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], p - 2, p)
+        for r in range(c + 1, len(a)):
+            f = a[r][c] * inv % p
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
+def _check_charpoly(a, p):
+    """chi = charpoly_mod(a, p) is monic of degree n, chi(a) = 0 (Cayley-
+    Hamilton) and chi(x) = det(x I - a) at x = 0 and one more point."""
+    n = a.shape[0]
+    chi = charpoly_mod(a, p)
+    assert chi.shape == (n + 1,) and chi[-1] == 1
+    eye = np.eye(n, dtype=np.int64)
+    at_a = np.zeros((n, n), dtype=np.int64)
+    for c in chi[::-1].tolist():
+        at_a = (matmul_mod(at_a, a, p) + c * eye) % p
+    assert not at_a.any()
+    for x in (0, p // 2 + 1):
+        value = sum(c * pow(x, i, p) for i, c in enumerate(chi.tolist())) % p
+        assert value == _det_mod((x * eye - a) % p, p)
+
+
+@st.composite
+def _square_mod(draw):
+    """(p, a): an n x n matrix mod p, n in 1..12, its entries drawn near p
+    to exercise the int64 products, or with a column of zeros or from a
+    few values for repeated and missing eigenvalues."""
+    p = draw(st.sampled_from([3, 29, 101, 2 ** 31 - 1]))
+    n = draw(st.integers(1, 12))
+    entry = draw(st.sampled_from([st.integers(max(0, p - 4), p - 1),
+                                  st.integers(0, p - 1),
+                                  st.integers(0, 1)]))
+    a = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                               min_size=n, max_size=n)), dtype=np.int64)
+    if draw(st.booleans()):
+        a[:, draw(st.integers(0, n - 1))] = 0
+    return p, a
+
+
+@settings(deadline=None, max_examples=60)
+@given(_square_mod())
+def test_charpoly_is_the_characteristic_polynomial(case):
+    p, a = case
+    _check_charpoly(a, p)
+    if p < 2 ** 31 - 1:  # the brute force scans every shift
+        assert list(singular_shifts(a, p)) == _brute_singular(a, p)
+
+
+def test_charpoly_of_an_h56_class_sum_combination():
+    """The 49 x 49 operator the H56 decomposition splits the adjoint
+    module with at 29: a combination of the class-sum operators."""
+    p = 29
+    group = build_h56(p)
+    elements = group.materialize()
+    ops = [sum(adjoint_action(elements[i], p) for i in cls) % p
+           for cls in conjugacy_classes(group)]
+    theta = sum(pow(2, i + 1, p) * op for i, op in enumerate(ops)) % p
+    _check_charpoly(theta, p)
     assert list(singular_shifts(theta, p)) == _brute_singular(theta, p)
 
 
