@@ -400,20 +400,14 @@ def g2_triple() -> RigidTuple:
     return t
 
 
-def search_g2_recipe(bounds: SearchBounds | None = None,
-                     recipe: Recipe | None = None) -> Recipe:
+def search_g2_recipe(bounds: SearchBounds | None = None) -> Recipe:
     """Breadth-first search over {+-1}-twists and MC_{-1} steps.
 
     Every visited tuple's profile is tested against the target in all six
     labelings of the punctures; the matching relabeling is appended to the
     recipe as rotate/swap steps.  Returns the first hit in deterministic
-    expansion order.  If ``recipe`` is supplied it is validated against
-    the target profile and returned without searching.
+    expansion order.
     """
-    if recipe is not None:
-        if not matches_g2_profile(realize(recipe)):
-            raise RecipeNotFound("supplied recipe fails the profile check")
-        return recipe
     bounds = bounds or SearchBounds()
     lam = Fraction(-1)
     queue = deque()

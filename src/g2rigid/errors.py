@@ -50,7 +50,7 @@ class DegenerateInput(ValueError):
 
 
 class RecipeNotFound(RuntimeError):
-    """No recipe realizes the target, or a supplied one fails its check."""
+    """No recipe within the search bounds realizes the target."""
 
 
 class RecipeFormatError(ValueError):

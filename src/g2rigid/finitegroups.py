@@ -230,8 +230,16 @@ def _log_unipotent(U, p):
 
 
 def _casimir_on_adjoint(gens, p):
-    """EF + FE + H^2/2 built from logs of the two unipotent generators."""
-    E, Fo = (_log_unipotent(adjoint_action(g, p), p) for g in gens)
+    """EF + FE + H^2/2 built from logs of the two unipotent generators.
+
+    Ad(exp L) = exp(ad L), so the log of a generator's adjoint action is
+    ad(log g) = kron(L, I) - kron(I, L^T) on row-flattened matrices.  On
+    Sym^m, ad L is nilpotent of order 2m + 1, so this holds mod p for
+    p > 2m, which ``sym_power_rep`` requires.
+    """
+    eye = np.eye(gens.shape[1], dtype=np.int64)
+    E, Fo = ((np.kron(L, eye) - np.kron(eye, L.T)) % p
+             for L in (_log_unipotent(g, p) for g in gens))
     EF = matmul_mod(E, Fo, p)
     FE = matmul_mod(Fo, E, p)
     H = (EF - FE) % p

@@ -3,14 +3,16 @@ mod-l generation certificate for the realized rank-7 triple.
 
 Basis order throughout: (x0, x1, x2, x3, x1', x2', x3'), so the primed
 coordinates sit at indices 4, 5, 6.
+
+A form is its coefficient vector on the basis tensors of
+``_invariance_system``, the one pullback of a form by a matrix: 28
+coefficients in degree 2, 35 in degree 3.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .convolution import RigidTuple, is_g2_profile, point_profile
 from .errors import DenominatorClash, WrongRank
@@ -20,125 +22,6 @@ from .rings import require_odd_prime
 
 DIM = 7
 
-# printed monomials of the cubic form, as index triples
-_DICKSON_MONOMIALS = ((0, 1, 4), (0, 2, 5), (0, 3, 6), (1, 2, 3), (4, 5, 6))
-
-
-def _perm_sign(a, b):
-    """Sign of the permutation taking tuple a to tuple b (distinct entries)."""
-    perm = [a.index(x) for x in b]
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-class TrilinearForm:
-    """Alternating 7x7x7 coefficient tensor over Q.
-
-    A wedge monomial x_i x_j x_k (i < j < k) stands for the alternating
-    tensor with coefficient +1 at (i,j,k) and the sign of the permutation
-    at the other orderings.
-    """
-
-    def __init__(self, entries, alternating=True):
-        self.entries = dict(entries)  # (i,j,k) -> nonzero coefficient
-        self.alternating = alternating
-        if alternating and not self.is_alternating():
-            raise ValueError("tensor marked alternating is not")
-
-    def coeff(self, i, j, k):
-        return self.entries.get((i, j, k), 0)
-
-    def is_alternating(self):
-        for (i, j, k), v in self.entries.items():
-            if len({i, j, k}) < 3:
-                return False
-            for perm in itertools.permutations((i, j, k)):
-                if self.entries.get(perm, 0) != _perm_sign((i, j, k), perm) * v:
-                    return False
-        return True
-
-    def evaluate(self, u, v, w):
-        return sum(c * u[i] * v[j] * w[k]
-                   for (i, j, k), c in self.entries.items())
-
-    def transform(self, M: Matrix) -> "TrilinearForm":
-        """Pullback c(Mx, My, Mz), exact: the pullback by the numerators
-        of M, divided by the cube of its denominator."""
-        out = {}
-        for (a, b, c), v in self.entries.items():
-            row_a, row_b, row_c = M.num[a], M.num[b], M.num[c]
-            for i in range(DIM):
-                if not row_a[i]:
-                    continue
-                va = v * row_a[i]
-                for j in range(DIM):
-                    if not row_b[j]:
-                        continue
-                    vab = va * row_b[j]
-                    for k in range(DIM):
-                        if row_c[k]:
-                            key = (i, j, k)
-                            out[key] = out.get(key, 0) + vab * row_c[k]
-        cube = M.den ** 3
-        return TrilinearForm({k: Fraction(v, cube) for k, v in out.items()
-                              if v}, alternating=False)
-
-    def equals(self, other) -> bool:
-        keys = set(self.entries) | set(other.entries)
-        return all(self.coeff(*k) == other.coeff(*k) for k in keys)
-
-
-class BilinearForm:
-    """Symmetric 7x7 Gram matrix over Q."""
-
-    def __init__(self, gram: Matrix):
-        self.gram = gram
-        if gram != gram.transpose():
-            raise ValueError("bilinear form must be symmetric")
-
-    def transform(self, M: Matrix) -> "BilinearForm":
-        return BilinearForm(M.transpose() * self.gram * M)
-
-    def equals(self, other) -> bool:
-        return self.gram == other.gram
-
-
-def dickson_form() -> TrilinearForm:
-    """The Dickson trilinear form as an alternating tensor: each wedge
-    monomial contributes +1 in its written order and the permutation sign
-    on the other orderings."""
-    return TrilinearForm({perm: _perm_sign(mono, perm)
-                          for mono in _DICKSON_MONOMIALS
-                          for perm in itertools.permutations(mono)})
-
-
-def g2_bilinear() -> BilinearForm:
-    """Gram matrix of -2 x0^2 + x1 x1' + x2 x2' + x3 x3'.
-
-    The cross terms are read directly as Gram entries (coefficient 1 at
-    both (i, i') positions); this normalization is the one invariant
-    under the full stabilizer algebra of the trilinear form.
-    """
-    g = [[0] * DIM for _ in range(DIM)]
-    g[0][0] = -2
-    for i, j in ((1, 4), (2, 5), (3, 6)):
-        g[i][j] = g[j][i] = 1
-    return BilinearForm(Matrix(g))
-
-
-def stabilizes(M: Matrix, forms) -> bool:
-    """True iff M preserves both forms as exact tensor identities."""
-    tri, bil = forms
-    M.inverse()  # invertibility is part of the contract
-    return tri.transform(M).equals(tri) and bil.transform(M).equals(bil)
-
-
-# ---------------------------------------------------------------------------
-# invariant-form spaces of a tuple
 
 def _sym2_basis():
     return [(i, j) for i in range(DIM) for j in range(i, DIM)]
@@ -148,6 +31,41 @@ def _alt3_basis():
     return [(i, j, k) for i in range(DIM) for j in range(i + 1, DIM)
             for k in range(j + 1, DIM)]
 
+
+_ALT3_INDEX = {c: n for n, c in enumerate(_alt3_basis())}
+
+# printed monomials of the cubic form, as index triples
+_DICKSON_MONOMIALS = ((0, 1, 4), (0, 2, 5), (0, 3, 6), (1, 2, 3), (4, 5, 6))
+
+
+def dickson_form():
+    """The Dickson trilinear form: 1 on each printed wedge monomial."""
+    return [int(c in _DICKSON_MONOMIALS) for c in _alt3_basis()]
+
+
+def g2_bilinear():
+    """-2 x0^2 + x1 x1' + x2 x2' + x3 x3', the Gram matrix with -2 at
+    (0, 0) and 1 at both (i, i') positions.
+
+    This normalization is the one invariant under the full stabilizer
+    algebra of the trilinear form.
+    """
+    coeffs = {(0, 0): -1, (1, 4): 1, (2, 5): 1, (3, 6): 1}
+    return [coeffs.get(c, 0) for c in _sym2_basis()]
+
+
+def stabilizes(M: Matrix, forms) -> bool:
+    """True iff M preserves every form: each coefficient vector lies in
+    the kernel of M's invariance system."""
+    M.inverse()  # invertibility is part of the contract
+    return all(
+        not sum(a * x for a, x in zip(row, v)) for v in forms
+        for row in _invariance_system(
+            [M.num], 2 if len(v) == len(_sym2_basis()) else 3, [M.den]))
+
+
+# ---------------------------------------------------------------------------
+# invariant-form spaces of a tuple
 
 def _permanent(A, rows, cols):
     """Permanent of the 2 x 2 submatrix of A on ``rows`` and ``cols``."""
@@ -189,35 +107,29 @@ def _invariance_system(mats, degree, dens):
 def invariant_form_space(t: RigidTuple, degree: int):
     """Dimension and basis of tuple-invariant forms.
 
-    Solves the linear system "tensor fixed by every A_i" inside the
+    Solves the linear system "form fixed by every A_i" inside the
     symmetric square (dimension 28) for degree 2, or the alternating cube
     (dimension 35) for degree 3, which is where the trilinear invariant
     of the rank-7 representation lives.  The system is written on the
-    integer numerators of the A_i.
+    integer numerators of the A_i; the basis vectors are its kernel.
     """
     if t.n != DIM:
         raise WrongRank("invariant forms implemented for rank 7")
     system = _invariance_system([A.num for A in t.matrices], degree,
                                 [A.den for A in t.matrices])
     null = Matrix(system).nullspace()
-    forms = []
-    if degree == 2:
-        for v in null:
-            # same basis tensors as the system: e_k e_l^T + e_l e_k^T
-            S = [[0] * DIM for _ in range(DIM)]
-            for coeff, (k, l) in zip(v, _sym2_basis()):
-                S[k][l] += coeff
-                S[l][k] += coeff
-            forms.append(BilinearForm(rational_matrix(S)))
-        return len(null), forms
-    for v in null:
-        entries = {}
-        for coeff, mono in zip(v, _alt3_basis()):
-            if coeff:
-                for perm in itertools.permutations(mono):
-                    entries[perm] = _perm_sign(mono, perm) * coeff
-        forms.append(TrilinearForm(entries))
-    return len(null), forms
+    return len(null), null
+
+
+def _triple_coeff(tri, i, j, k):
+    """Coefficient of the alternating tensor ``tri`` at (i, j, k): the
+    sign of the Vandermonde product (0 on a repeated index) times the
+    coefficient of the sorted monomial."""
+    sign = (j - i) * (k - i) * (k - j)
+    if not sign:
+        return 0
+    c = tri[_ALT3_INDEX[tuple(sorted((i, j, k)))]]
+    return c if sign > 0 else -c
 
 
 def lie_stabilizer_dim(forms) -> int:
@@ -227,10 +139,11 @@ def lie_stabilizer_dim(forms) -> int:
     b(Xu,v) + b(u,Xv) = 0 and the trilinear one is the three-slot
     derivation identity.  The pair may be given in either order.
     """
-    tri, bil = forms
-    if isinstance(tri, BilinearForm):
-        tri, bil = bil, tri
-    B = bil.gram.num  # the bilinear rows scaled by the Gram denominator
+    bil, tri = sorted(forms, key=len)
+    B = [[0] * DIM for _ in range(DIM)]  # Gram matrix of bil
+    for v, (k, l) in zip(bil, _sym2_basis()):
+        B[k][l] += v
+        B[l][k] += v
     rows = []
     # bilinear: sum_a B_{aj} X_{ai} + B_{ia} X_{aj} = 0
     for i in range(DIM):
@@ -245,9 +158,9 @@ def lie_stabilizer_dim(forms) -> int:
     for (i, j, k) in _alt3_basis():
         row = [0] * (DIM * DIM)
         for a in range(DIM):
-            row[a * DIM + i] += tri.coeff(a, j, k)
-            row[a * DIM + j] += tri.coeff(i, a, k)
-            row[a * DIM + k] += tri.coeff(i, j, a)
+            row[a * DIM + i] += _triple_coeff(tri, a, j, k)
+            row[a * DIM + j] += _triple_coeff(tri, i, a, k)
+            row[a * DIM + k] += _triple_coeff(tri, i, j, a)
         rows.append(row)
     return DIM * DIM - rational_matrix(rows).rank()
 

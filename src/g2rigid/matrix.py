@@ -71,9 +71,6 @@ class Matrix:
         return Matrix([[c.numerator * x for x in row] for row in self.num],
                       self.den * c.denominator)
 
-    def transpose(self):
-        return Matrix(zip(*self.num), self.den)
-
     def is_square(self):
         return self.rows == self.cols
 

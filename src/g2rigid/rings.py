@@ -66,8 +66,9 @@ QQ = Rationals()
 
 
 # ---------------------------------------------------------------------------
-# polynomials over F_p: little-endian coefficient tuples, used for extension
-# field moduli and for characteristic polynomial handling
+# polynomials over F_p: little-endian coefficient tuples, used to find and
+# test extension field moduli and to multiply in F_{p^k} (characteristic
+# polynomials of matrices are modlinalg.charpoly_mod)
 
 def poly_trim(c):
     c = list(c)

@@ -208,8 +208,7 @@ def test_search_rediscovers_pinned_recipe():
 @pytest.mark.parametrize("build", [
     lambda: cli._compute_triple_record(g2_recipe()),
     g2_triple,
-    lambda: search_g2_recipe(recipe=g2_recipe()),
-], ids=["triple-record", "g2_triple", "search-with-recipe"])
+], ids=["triple-record", "g2_triple"])
 def test_each_replayed_tuple_gets_one_profile(build, monkeypatch):
     """One profile per replay step: the rigidity guard's profile of the
     final tuple is the one the profile check reads."""

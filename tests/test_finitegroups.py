@@ -172,6 +172,29 @@ def test_sl2_sym2_adjoint_constituents():
     assert d.pairs == ((1, 1), (3, 1), (5, 1))
 
 
+def _log_series(U, p):
+    """sum_k (-1)^(k + 1) (U - I)^k / k mod p, for a unipotent U."""
+    N = (U - np.eye(U.shape[0], dtype=np.int64)) % p
+    log, power, k = np.zeros_like(U), N, 1
+    while power.any():
+        log = (log + (-1) ** (k + 1) * pow(k, -1, p) * power) % p
+        power, k = matmul_mod(power, N, p), k + 1
+    return log
+
+
+@pytest.mark.parametrize("ell,m", [(17, 6), (23, 10), (11, 2), (17, 0)])
+def test_casimir_equals_the_adjoint_series_construction(ell, m):
+    """The Casimir from the (m + 1) x (m + 1) logs equals EF + FE + H^2/2
+    with E and F the log series of the full adjoint actions."""
+    rep = sym_power_rep(ell, m)
+    E, F = (_log_series(adjoint_action(g, ell), ell) for g in rep.generators)
+    EF, FE = matmul_mod(E, F, ell), matmul_mod(F, E, ell)
+    H = (EF - FE) % ell
+    want = (EF + FE + pow(2, -1, ell) * matmul_mod(H, H, ell)) % ell
+    assert np.array_equal(
+        finitegroups._casimir_on_adjoint(rep.generators, ell), want)
+
+
 def test_sl2_rejects_small_characteristic():
     with pytest.raises(TooSmallPrime):
         sym_power_rep(13, 6)  # needs ell > 2m + 1 headroom for splitting

@@ -8,19 +8,34 @@ from hypothesis import given, settings, strategies as st
 from g2rigid.convolution import RigidTuple
 from g2rigid.errors import DenominatorClash, InvalidCharacteristic
 from g2rigid.g2forms import (_invariance_system, _invariant_dim_mod,
-                             dickson_form, g2_bilinear,
+                             _triple_coeff, dickson_form, g2_bilinear,
                              generation_certificate, invariant_form_space,
                              lie_stabilizer_dim, reduce_mod, stabilizes)
 from g2rigid.matrix import Matrix, rational_matrix
 from g2rigid.modlinalg import enveloping_dim, inv_mod, matmul_mod
 
 
-def test_dickson_form_is_alternating():
-    tri = dickson_form()
-    assert tri.is_alternating()
-    e = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
-    assert tri.evaluate(e[0], e[1], e[3]) == -tri.evaluate(e[1], e[0], e[3])
-    assert tri.evaluate(e[0], e[0], e[3]) == 0
+def test_triple_coeff_is_alternating():
+    """The signed coefficient of a generic vector flips under each
+    transposition of the slots, is 0 on a repeated index, and is the
+    vector itself on the increasing triples."""
+    tri = list(range(1, 36))
+    for i, j, k in itertools.product(range(7), repeat=3):
+        c = _triple_coeff(tri, i, j, k)
+        if len({i, j, k}) < 3:
+            assert c == 0
+            continue
+        assert c == -_triple_coeff(tri, j, i, k) \
+            == -_triple_coeff(tri, i, k, j) == -_triple_coeff(tri, k, j, i)
+    assert [_triple_coeff(tri, *c) for c in _basis(3)] == tri
+
+
+def test_dickson_form_is_the_printed_monomials():
+    """Supported exactly on x0 x1 x1', x0 x2 x2', x0 x3 x3', x1 x2 x3 and
+    x1' x2' x3', each with coefficient 1."""
+    support = {c: v for c, v in zip(_basis(3), dickson_form()) if v}
+    assert support == {(0, 1, 4): 1, (0, 2, 5): 1, (0, 3, 6): 1,
+                       (1, 2, 3): 1, (4, 5, 6): 1}
 
 
 def test_dickson_pair_stabilizer_is_g2():
@@ -28,21 +43,22 @@ def test_dickson_pair_stabilizer_is_g2():
 
 
 def test_single_form_stabilizers():
-    from g2rigid.g2forms import TrilinearForm
-    from g2rigid.matrix import Matrix as M
-    no_tri = TrilinearForm({})
-    no_bil = g2_bilinear().__class__(M([[0] * 7 for _ in range(7)]))
+    no_tri, no_bil = [0] * 35, [0] * 28
     assert lie_stabilizer_dim((dickson_form(), no_bil)) == 14
     assert lie_stabilizer_dim((no_tri, g2_bilinear())) == 21
     assert lie_stabilizer_dim((no_tri, no_bil)) == 49
 
 
 def test_invariant_form_space_dims(triple):
-    d2, forms2 = invariant_form_space(triple, 2)
-    d3, forms3 = invariant_form_space(triple, 3)
-    assert (d2, d3) == (1, 1)
-    for m in triple.matrices + [triple.a_infinity()]:
-        assert stabilizes(m, (forms3[0], forms2[0]))
+    """Each solved form is fixed, by the test's own pullback, by A0, A1
+    and by A_inf, which the solved system does not contain."""
+    for degree in (2, 3):
+        dim, forms = invariant_form_space(triple, degree)
+        assert dim == 1
+        for m in triple.matrices + [triple.a_infinity()]:
+            system = _reference_system([m.num], degree, [m.den])
+            assert all(sum(a * x for a, x in zip(row, forms[0])) == 0
+                       for row in system)
 
 
 def test_invariant_form_dims_of_the_identity_tuple():
@@ -244,6 +260,18 @@ def test_reduce_mod_2_rejected(triple):
 def test_generation_certificate_requires_finite_field(triple):
     with pytest.raises(ValueError):
         generation_certificate(triple)
+
+
+def test_stabilizes_the_triple_and_a_torus_element(triple):
+    forms = [invariant_form_space(triple, d)[1][0] for d in (3, 2)]
+    assert all(stabilizes(m, forms)
+               for m in triple.matrices + [triple.a_infinity()])
+    # diag(1, t1, t2, t3, 1/t1, 1/t2, 1/t3) with t1 t2 t3 = 1 lies in G2
+    ts = [Fraction(2), Fraction(3), Fraction(1, 6)]
+    torus = rational_matrix([[([1] + ts + [1 / t for t in ts])[i]
+                              if i == j else 0 for j in range(7)]
+                             for i in range(7)])
+    assert stabilizes(torus, (dickson_form(), g2_bilinear()))
 
 
 def test_stabilizes_detects_failure():

@@ -52,12 +52,13 @@ ROOT = SRC.parent.parent
 
 
 def _defined_functions():
-    """(module, name) of every function and method defined in
+    """(module, name) of every class, function and method defined in
     src/g2rigid, dunders excepted."""
     return sorted(
         (path.name, node.name) for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
         and not (node.name.startswith("__") and node.name.endswith("__")))
 
 

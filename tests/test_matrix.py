@@ -30,7 +30,7 @@ def test_inverse_or_singular(a):
 @given(sq3)
 def test_rank_transpose_invariant(a):
     A = rational_matrix(a)
-    assert A.rank() == A.transpose().rank()
+    assert A.rank() == rational_matrix(list(zip(*a))).rank()
 
 
 def test_jordan_partition_of_jordan_blocks():
