@@ -7,14 +7,24 @@ payload version, a truncated one or a bare result counts as a miss.  This
 catches corruption and stale formats, not a deliberate edit.  Writes go
 through a temporary file in the same directory followed by an atomic
 rename, so concurrent runs on one cache directory are safe (identical
-content, last writer wins).
+content, last writer wins).  SHA-256 comes from the interpreter's own
+``_sha2`` (3.12+) or ``_sha256`` module where there is one, as in
+``random``: ``hashlib`` would load OpenSSL's libcrypto into every process
+to hash a payload of about 100 bytes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 CACHE_ENV_VAR = "G2RIGID_CACHE_DIR"
 
@@ -24,7 +34,7 @@ def canonical_json(obj) -> str:
 
 
 def content_key(payload) -> str:
-    return hashlib.sha256(bytes(canonical_json(payload), "utf-8")).hexdigest()
+    return sha256(bytes(canonical_json(payload), "utf-8")).hexdigest()
 
 
 def resolve_cache_dir(flag_value=None) -> str:

@@ -10,15 +10,17 @@ Importing this module executes only ``cache`` and ``errors``.  Every
 other layer is registered in ``sys.modules`` through
 ``importlib.util.LazyLoader`` and executes at its first attribute read,
 so a command executes only the layers it calls, and a report served from
-the cache costs argparse, json, hashlib and one record read.  ``triple``
+the cache costs argparse, json, a SHA-256 and one record read.  ``triple``
 and ``certify`` key their records by the pinned recipe lines, which the
 package itself defines, so served from the cache they execute no layer;
 the ``Recipe`` is parsed and replayed on a miss only.  A lazily
-registered module is not safe to touch first on several threads at once,
-so the ``count`` workers call only ``counting.series_term``, resolved on
-the main thread before the pool starts.  A process enters through
-``run``, which freezes the heap once the report is written, so that
-interpreter shutdown does not collect what the imports created.
+registered module is not safe to touch first on several threads at once;
+``count`` and ``zeta`` compute their missing terms one after another on
+the main thread, and the ``--workers`` threads start inside
+``counting.count_transfer``, once every layer they read has executed.
+A process enters through ``run``, which freezes the heap once the report
+is written, so that interpreter shutdown does not collect what the
+imports created.
 """
 
 from __future__ import annotations
@@ -202,34 +204,18 @@ def _series_terms(args, cache, k_max):
     payloads = [{"kind": "series-term", "q": args.q, "s": args.s, "k": k,
                  "variant": args.variant, "naive_budget": budget, "v": 1}
                 for k in range(1, k_max + 1)]
-    # every record is read, and counting executed, on the main thread: a
-    # lazily registered module is not safe to touch first on many threads
+    # every record is looked up first, so a report lists every term's key
     recs = [cache.fetch(payload) for payload in payloads]
-    missing = [i for i, rec in enumerate(recs) if rec is None]
-    if not missing:
-        return recs
-    series_term = counting.series_term
-
-    def compute(payload):
-        t, crossed = series_term(args.q, args.s, payload["k"],
-                                 variant=args.variant, naive_budget=budget)
-        result = {"t": str(t), "cross_checked": crossed}
-        cache.put(payload, result)
-        return result
-
-    # one worker a missing term at most, so one term starts no pool
-    workers = min(args.workers or min(4, os.cpu_count() or 1), len(missing))
-    if workers > 1:
-        import concurrent.futures
-        # leaving the block waits for every term, so one failing k cancels
-        # no other; reading in k order raises the first failing k's error
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            futures = [pool.submit(compute, payloads[i]) for i in missing]
-        for i, future in zip(missing, futures):
-            recs[i] = future.result()
-    else:
-        for i in missing:
-            recs[i] = compute(payloads[i])
+    workers = args.workers or min(4, os.cpu_count() or 1)
+    # the missing terms run one after another, so one term's arrays are
+    # live at a time; the workers split the residues of each term
+    for i, payload in enumerate(payloads):
+        if recs[i] is None:
+            t, crossed = counting.series_term(
+                args.q, args.s, payload["k"], variant=args.variant,
+                naive_budget=budget, workers=workers)
+            recs[i] = {"t": str(t), "cross_checked": crossed}
+            cache.put(payload, recs[i])
     return recs
 
 
@@ -307,7 +293,11 @@ def build_parser():
                         help="cache directory (default: $G2RIGID_CACHE_DIR "
                              "or ~/.cache/g2rigid)")
     common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--workers", type=_positive_int, default=None)
+    common.add_argument("--workers", type=_positive_int, default=None,
+                        help="threads that compute the residues of a "
+                             "count or zeta term (default: the CPUs, at "
+                             "most 4; fewer if a term's memory model "
+                             "would exceed its bound)")
 
     # the character-sum series of count and zeta
     series = argparse.ArgumentParser(add_help=False, parents=[common])

@@ -25,7 +25,6 @@ from .modlinalg import np
 from .rings import ext_field, is_prime, require_odd_prime
 
 DEFAULT_NAIVE_BUDGET = 10 ** 9
-TRANSFER_BYTE_BOUND = 2 ** 29  # bytes of the transfer's largest array
 
 
 # ---------------------------------------------------------------------------
@@ -96,43 +95,82 @@ def quad_char(field_, u) -> int:
     return 1 if t == 1 else -1
 
 
-def _digits(codes, p, k):
+def _digits(codes, p, k, dtype=np.int64):
     """Base-p digit vectors (constant coefficient first) of element codes."""
-    return np.asarray(codes, dtype=np.int64)[:, None] // p ** np.arange(k) % p
+    return np.asarray(codes, dtype=dtype)[:, None] // \
+        p ** np.arange(k, dtype=dtype) % p
+
+
+_CHI_BLOCK = 2 ** 16  # elements squared at once by _chi_table
 
 
 def _chi_table(field_):
-    """Quadratic character of every element, from the squaring map.
+    """Quadratic character of every element, from the squaring map, as
+    int8.
 
-    All elements are squared at once as digit polynomials and reduced by
-    the field modulus; the image is +1, every other element -1, and
-    chi(0) = 0.
+    x and -x have one square, and one of them leads with a digit in
+    1 .. (p - 1)/2, so the codes [p^j, (p + 1)/2 p^j), j < k, square to
+    every nonzero square.  They are squared _CHI_BLOCK at a time as digit
+    polynomials and reduced by the field modulus; the image is +1, every
+    other element -1, and chi(0) = 0.  The digit arithmetic runs in int32
+    whenever its largest sum, (2k - 1) k (p - 1)^3, fits.
     """
     p, k = field_.char, field_.k
-    n = p ** k
-    digits = _digits(np.arange(n), p, k)
-    square = np.zeros((n, 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        square[:, i:i + k] += digits[:, i:i + 1] * digits
+    dtype = np.int32 if (2 * k - 1) * k * (p - 1) ** 3 < 2 ** 31 \
+        else np.int64
     # row m: digits of T^m reduced by the modulus, m = 0 .. 2k - 2
     powers = [1]
     for _ in range(2 * k - 2):
         powers.append(field_.mul(powers[-1], p))  # the code p is T
-    reduce_ = _digits(powers, p, k)
-    squares = (square @ reduce_ % p) @ p ** np.arange(k)
-    chi = np.full(n, -1, dtype=np.int64)
-    chi[squares] = 1
+    reduce_ = _digits(powers, p, k, dtype)
+    place = p ** np.arange(k, dtype=dtype)
+    chi = np.full(p ** k, -1, dtype=np.int8)
+    for j in range(k):
+        top = (p + 1) // 2 * p ** j
+        for start in range(p ** j, top, _CHI_BLOCK):
+            digits = _digits(np.arange(start, min(start + _CHI_BLOCK, top)),
+                             p, k, dtype)
+            square = np.zeros((len(digits), 2 * k - 1), dtype=dtype)
+            for i in range(k):
+                square[:, i:i + k] += digits[:, i:i + 1] * digits
+            chi[(square @ reduce_ % p) @ place] = 1
     chi[0] = 0
     return chi
 
 
-def _check_transfer_size(p, k):
-    """TooLarge unless the squaring map's (p^k, 2k - 1) products and the
-    p x p transform, the transfer's largest arrays, fit the byte bound."""
-    need = 8 * max(p ** k * (2 * k - 1), p * p)
+TRANSFER_BYTE_BOUND = 2 ** 29
+# below this field size a residue's numpy calls are too short to release
+# the GIL for long, and two threads run the residues slower than one
+_POOL_MIN_SIZE = 2 ** 14
+
+
+def transfer_bytes(p, k, workers):
+    """The modelled peak RSS of one transfer term over F_{p^k}, n = p^k,
+    on ``workers`` threads: 48 MB for the interpreter, numpy and the
+    blocks of _chi_table, 5 n for the int8 tables the residues share, and
+    per worker 24 n for a residue's three int64 vectors and 32 p^2 for its
+    p x p transform matrices.
+
+    Fitted to the peak RSS (os.wait4) of fresh ``series_term(3, 2, k)``
+    processes on a 2-CPU machine, as (k, workers, MiB): (11, 1, 42.2),
+    (12, 1, 47.3), (13, 1, 72.6), (14, 1, 160.7), (15, 1, 425.3),
+    (12, 2, 61.1), (13, 2, 109.9), (14, 2, 271.3), (15, 2, 754.8),
+    (13, 4, 183.2), (14, 4, 490.3); the model lies 7-18 MiB above each.
+    """
+    n = p ** k
+    return 48 * 10 ** 6 + 5 * n + workers * (24 * n + 32 * p * p)
+
+
+def transfer_workers(p, k, workers):
+    """The most workers, at most ``workers``, whose modelled term fits
+    TRANSFER_BYTE_BOUND; TooLarge if one worker does not fit."""
+    need = transfer_bytes(p, k, 1)
     if need > TRANSFER_BYTE_BOUND:
-        raise TooLarge(f"the transfer over F_{p}^{k} needs {need} bytes, "
-                       f"over the bound {TRANSFER_BYTE_BOUND}")
+        raise TooLarge(f"the transfer over F_{p}^{k} needs about {need} "
+                       f"bytes, over the bound {TRANSFER_BYTE_BOUND}")
+    while transfer_bytes(p, k, workers) > TRANSFER_BYTE_BOUND:
+        workers -= 1
+    return workers
 
 
 def _check_s(s):
@@ -208,10 +246,10 @@ def _ntt_primes(p: int, bound: int):
     """Primes P = 1 (mod p), largest first, whose product exceeds bound,
     each with a primitive p-th root of unity omega mod P.
 
-    p (P - 1)^2 < 2^63, so a p-term sum of reduced products fits in int64
-    (for p < 128 that holds for every P < 2^28).
+    p (P - 1)^2 < 2^63, so a p-term sum of reduced products fits in int64,
+    and so does a pointwise product, (P - 1)^2 < 2^63.
     """
-    top = min(2 ** 28, isqrt((2 ** 63 - 1) // p))
+    top = isqrt((2 ** 63 - 1) // p)
     primes = []
     product = 1
     for P in range(top - 1 - (top - 2) % (2 * p), 1, -2 * p):
@@ -229,28 +267,43 @@ def _transfer_residue(P, omega, p, k, chi, first, locals_):
     """The transfer chain modulo P, every convolution in the Fourier domain.
 
     The length-p DFT along each of the k digit axes of (F_{p^k}, +) =
-    (Z/p)^k diagonalizes the convolution with chi.
+    (Z/p)^k diagonalizes the convolution with chi.  The int8 tables are
+    widened to int64 here, and the transforms run in place, so a residue
+    holds three int64 vectors: the transform of chi, the chain vector and
+    the transform's scratch.
     """
     j = np.arange(p)
     omega_pow = np.array([pow(omega, e, P) for e in range(p)], dtype=np.int64)
     forward = omega_pow[j[:, None] * j % p]
     inverse = omega_pow[-j[:, None] * j % p]
+    tmp = np.empty(chi.size, dtype=np.int64)
 
-    def transform(v, w):
+    def transform(v, w):  # in place, through tmp
         for d in range(k):
-            v = np.matmul(w, v.reshape(p ** d, p, -1)) % P
-        return v.reshape(-1)
+            np.matmul(w, v.reshape(p ** d, p, -1),
+                      out=tmp.reshape(p ** d, p, -1))
+            np.remainder(tmp, P, out=v)
 
     # the inverse transform's 1/n is folded into the transform of chi
-    chi_hat = transform(chi % P, forward) * pow(chi.size, -1, P) % P
-    v = first % P
+    chi_hat = chi.astype(np.int64)
+    chi_hat %= P
+    transform(chi_hat, forward)
+    chi_hat *= pow(chi.size, -1, P)
+    chi_hat %= P
+    v = first.astype(np.int64)
+    v %= P
     for loc in locals_:
-        v = transform(transform(v, forward) * chi_hat % P, inverse) * loc % P
+        transform(v, forward)
+        v *= chi_hat
+        v %= P
+        transform(v, inverse)
+        v *= loc
+        v %= P
     return int(v.sum()) % P
 
 
 def count_transfer(field_, s, variant="consecutive",
-                   trivial_character=False) -> int:
+                   trivial_character=False, workers=1) -> int:
     """T_chi by sequential convolution along the variable chain.
 
     The character sum factorizes through the chain of difference factors:
@@ -260,16 +313,18 @@ def count_transfer(field_, s, variant="consecutive",
     is a pointwise product in the Fourier domain of (F_{p^k}, +), computed
     exactly modulo primes P = 1 (mod p); since |T| <= q^{6k}, enough
     primes to exceed 2 q^{6k} recover T by the Chinese remainder theorem.
-    The largest array must fit in TRANSFER_BYTE_BOUND bytes, else
-    TooLarge.  Agrees with count_naive wherever both run.
+    The residues are independent: with two primes or more, on a field of
+    at least _POOL_MIN_SIZE elements, they run on a pool of up to
+    ``workers`` threads, as many as ``transfer_workers`` admits (TooLarge
+    if one does not fit), and are combined in prime order.  Agrees with count_naive wherever both run.
     """
     _check_s(s)
     if variant not in ("consecutive", "cyclic"):
         raise ValueError(f"unknown variant {variant!r}")
     p, k = field_.char, field_.k
-    _check_transfer_size(p, k)
+    workers = transfer_workers(p, k, workers)
     n = p ** k
-    chi = ((np.arange(n) != 0).astype(np.int64) if trivial_character
+    chi = ((np.arange(n) != 0).astype(np.int8) if trivial_character
            else _chi_table(field_))
 
     def minus(c):  # x -> chi(x - c): a shift along every digit axis
@@ -283,9 +338,20 @@ def count_transfer(field_, s, variant="consecutive",
     sign = chi[s] * chi[field_.neg(1)]
     first = chi * chi_xm1 * (chi_xms if variant == "cyclic" else 1)
     locals_ = [chi_xm1, chi, chi_xm1, chi, chi_xm1 * chi_xms * sign]
+    primes = _ntt_primes(p, 2 * n ** 6)
+
+    def residue(prime):
+        return _transfer_residue(*prime, p, k, chi, first, locals_)
+
+    if workers > 1 and len(primes) > 1 and n >= _POOL_MIN_SIZE:
+        import concurrent.futures
+        with concurrent.futures.ThreadPoolExecutor(
+                min(workers, len(primes))) as pool:
+            residues = list(pool.map(residue, primes))
+    else:
+        residues = map(residue, primes)
     total, modulus = 0, 1
-    for P, omega in _ntt_primes(p, 2 * n ** 6):
-        r = _transfer_residue(P, omega, p, k, chi, first, locals_)
+    for (P, _), r in zip(primes, residues):
         total += modulus * ((r - total) * pow(modulus, -1, P) % P)
         modulus *= P
     return total - modulus if 2 * total > modulus else total
@@ -322,18 +388,19 @@ def chi_series(q: int, s: int, k_max: int = 7, variant="consecutive",
 
 def series_term(q: int, s: int, k: int, variant="consecutive",
                 naive_budget=DEFAULT_SERIES_NAIVE_BUDGET,
-                modulus_skip: int = 0):
+                modulus_skip: int = 0, workers=1):
     """One series term T_k, with a naive cross-check where affordable.
 
-    Returns (T_k, cross_checked).  Raises AssertionError on a
-    transfer/naive mismatch.
+    Returns (T_k, cross_checked).  The transfer's residues run on up to
+    ``workers`` threads.  Raises AssertionError on a transfer/naive
+    mismatch.
     """
     require_odd_prime(q)
     s %= q
     _check_s(s)
-    _check_transfer_size(q, k)  # before searching for a degree-k modulus
+    transfer_workers(q, k, 1)  # before searching for a degree-k modulus
     fk = ext_field(q, k, skip=modulus_skip)
-    t = count_transfer(fk, s, variant=variant)
+    t = count_transfer(fk, s, variant=variant, workers=workers)
     crossed = False
     if fk.size ** 6 <= naive_budget:
         _, t_naive = count_naive(fk, s, budget=naive_budget, variant=variant)

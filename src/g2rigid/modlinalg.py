@@ -20,12 +20,12 @@ stands in for the module, and the layers that compute on arrays
 command served from the cache computes on no array, so it does not pay
 the import of numpy, about 135 ms on a 2-CPU machine.  The deferral goes through
 the ``import`` statement, which holds the per-module import lock, so
-threads that first touch numpy together (the ``count`` workers) wait for
-one complete import.  ``importlib.util.LazyLoader`` gives no such
-guarantee, which is why numpy keeps this stand-in: the worker threads
-touch ``np`` first.  The layer modules themselves, this one included,
-are registered lazily by ``cli`` with ``LazyLoader``, and each is first
-touched on the main thread.
+threads that first touch numpy together wait for one complete import;
+``importlib.util.LazyLoader`` gives no such guarantee.  ``count`` first
+touches numpy on the main thread, where it builds a term's character
+table, before its worker threads split the term's residues.  The layer
+modules themselves, this one included, are registered lazily by ``cli``
+with ``LazyLoader``, and each is first touched on the main thread.
 """
 
 from __future__ import annotations

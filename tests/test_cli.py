@@ -53,6 +53,18 @@ def test_content_key_is_order_insensitive():
     assert canonical_json({"b": 1, "a": [2]}) == '{"a":[2],"b":1}'
 
 
+@pytest.mark.parametrize("payload", [
+    {}, {"kind": "demo", "x": 1},
+    {"kind": "series-term", "q": 3, "s": 2, "k": 12,
+     "variant": "consecutive", "naive_budget": 10 ** 7, "v": 1},
+    {"kind": "certify", "recipe": ["a", "b"], "ell": 7, "v": 1},
+    {"text": "\u00e9\u2202 and a long tail " * 40}])
+def test_content_key_is_the_hashlib_sha256(payload):
+    import hashlib
+    want = hashlib.sha256(canonical_json(payload).encode("utf-8"))
+    assert content_key(payload) == want.hexdigest()
+
+
 def test_resolve_cache_dir_precedence(monkeypatch, tmp_path):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "env"))
     assert resolve_cache_dir("explicit") == "explicit"
@@ -130,8 +142,9 @@ def test_count_bad_s_exits_nonzero(capsys, cache_dir):
 
 
 def test_failed_count_lists_every_term_key(capsys, cache_dir):
-    """Every term runs even when one fails, so the error report, its
-    cache keys included, is the same on every rerun with many workers."""
+    """Every term's record is looked up before the first is computed, so
+    the error report lists every term's key and, its cache keys included,
+    is the same on every rerun with many workers."""
     argv = ["count", "--q", "3", "--s", "3", "--kmax", "4",
             "--workers", "4", "--cache-dir", cache_dir]
     docs = [_strip_duration(_run(capsys, argv)[1]) for _ in range(20)]

@@ -74,6 +74,34 @@ def test_chi_table_matches_quad_char(field_):
     assert _chi_table(field_).tolist() == expected
 
 
+@pytest.mark.parametrize("field_", [ext_field(3, 7), ext_field(5, 4),
+                                    ext_field(7, 3)])
+def test_blocked_chi_table_matches_quad_char(monkeypatch, field_):
+    """Squared about 100 elements at a time, with a last partial block,
+    the table is still Euler's criterion."""
+    monkeypatch.setattr(counting, "_CHI_BLOCK", 100)
+    expected = [quad_char(field_, x) for x in field_.elements()]
+    assert _chi_table(field_).tolist() == expected
+
+
+@pytest.mark.parametrize("field_,s,variant,trivial", [
+    (ext_field(3, 2), 2, "consecutive", False),
+    (ext_field(3, 5), 2, "consecutive", False),
+    (ext_field(5, 3), 3, "consecutive", False),
+    (ext_field(7, 2), 4, "cyclic", False),
+    (ext_field(3, 4), 2, "consecutive", True),
+    (ext_field(11, 1), 3, "cyclic", True),
+])
+def test_transfer_on_two_workers_is_the_one_worker_transfer(monkeypatch,
+                                                            field_, s,
+                                                            variant, trivial):
+    monkeypatch.setattr(counting, "_POOL_MIN_SIZE", 1)  # pool on small fields
+    one, two = (count_transfer(field_, s, variant=variant,
+                               trivial_character=trivial, workers=w)
+                for w in (1, 2))
+    assert one == two
+
+
 def test_cyclic_variant_consistent():
     s = F5.from_int(3)
     n_nz, n_chi = count_naive(F5, s, variant="cyclic")
@@ -136,8 +164,10 @@ def test_bad_parameters():
         count_transfer(F3, 0)
     with pytest.raises(NotInBase):
         count_transfer(F3, 1)
-    with pytest.raises(TooLarge):  # about 1.03 GB of squaring-map products
-        series_term(3, 2, 14)
+    # the modelled term at F_3^16 does not fit with one worker; it is
+    # refused before a degree-16 modulus is searched for
+    with pytest.raises(TooLarge, match=r"F_3\^16 needs about \d+ bytes"):
+        series_term(3, 2, 16)
 
 
 def test_fiber_factor_count_and_degree():

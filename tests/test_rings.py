@@ -46,13 +46,30 @@ def test_is_prime_is_trial_division_below_10_5():
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
 def test_ntt_primes_are_those_of_trial_division(monkeypatch, p):
-    """Candidates near 2^28 are tested by Miller-Rabin; trial division
-    picks the same primes, for a bound that needs several of them."""
+    """Candidates near sqrt(2^63 / p) are tested by Miller-Rabin; trial
+    division picks the same primes, for a bound that needs several of
+    them."""
     bound = 2 * (p ** 4) ** 6
     fast = counting._ntt_primes(p, bound)
     monkeypatch.setattr(counting, "is_prime", _trial_division_prime)
     assert counting._ntt_primes(p, bound) == fast
     assert len(fast) > 1
+
+
+@pytest.mark.parametrize("q, k", [(3, 1), (3, 12), (3, 15), (5, 7),
+                                  (7, 6), (13, 2), (101, 1)])
+def test_ntt_primes_fit_int64_and_recover_the_sum(q, k):
+    """Each prime is 1 mod q with a primitive q-th root of unity, a q-term
+    sum of reduced products fits in int64, and together they exceed
+    2 q^{6k}, twice the largest |T_k|."""
+    primes = counting._ntt_primes(q, 2 * q ** (6 * k))
+    product = 1
+    for P, omega in primes:
+        assert is_prime(P) and P % q == 1
+        assert q * (P - 1) ** 2 < 2 ** 63
+        assert omega != 1 and pow(omega, q, P) == 1
+        product *= P
+    assert product > 2 * q ** (6 * k)
 
 
 def test_is_prime_on_strong_pseudoprimes():

@@ -20,6 +20,7 @@ import pytest
 
 from g2rigid import cli
 from g2rigid.cli import main
+from g2rigid.counting import transfer_bytes
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 LAYERS = sorted(f"g2rigid.{p.stem}" for p in (SRC / "g2rigid").glob("*.py")
@@ -99,7 +100,7 @@ def test_import_loads_every_layer_and_neither_numpy_nor_jsonschema():
     fresh = _fresh([])
     modules = set(fresh["modules"])
     assert set(LAYERS) <= modules
-    assert "numpy" not in modules and "jsonschema" not in modules
+    assert not {"numpy", "jsonschema", "_hashlib"} & modules
     assert fresh["executed"] == EAGER
     assert set(LAYER_IMPORTS).isdisjoint(fresh["imported"])
 
@@ -165,7 +166,8 @@ def test_warm_command_executes_only_the_layers_it_reads(warm_cache, argv):
     assert _strip(fresh["reports"][0]) == _strip(cold[argv[0]])
     assert set(fresh["executed"]) - set(EAGER) <= WARM_LAYERS[argv[0]]
     assert fresh["threads"] == []
-    assert not {"numpy", "concurrent.futures"} & set(fresh["modules"])
+    assert not {"numpy", "concurrent.futures", "_hashlib"} & \
+        set(fresh["modules"])
     if not WARM_LAYERS[argv[0]]:
         assert set(LAYER_IMPORTS).isdisjoint(fresh["loaded"])
 
@@ -176,13 +178,27 @@ def test_cold_command_executes_only_the_layers_it_computes_with(tmp_path,
     """On an empty cache in a fresh process, hmodule and sl2 execute none
     of g2forms, convolution and matrix, count does not execute zeta, and
     triple, which computes over Q on ``Matrix``, loads no numpy.  None
-    loads ``numpy.ma``."""
+    loads ``numpy.ma`` or OpenSSL's ``_hashlib``."""
     fresh = _fresh([argv + ["--cache-dir", str(tmp_path)]])
     assert fresh["reports"][0]["command"] == argv[0]
     assert set(fresh["executed"]) - set(EAGER) == COLD_LAYERS[argv[0]]
-    assert "numpy.ma" not in fresh["modules"]
+    assert not {"numpy.ma", "_hashlib"} & set(fresh["modules"])
     if argv[0] == "triple":
         assert "numpy" not in fresh["modules"]
+
+
+@pytest.mark.parametrize("argv", [["zeta", "--q", "3", "--s", "2",
+                                   "--kmax", "4"],
+                                  ["predict", "--s", "8/5"]],
+                         ids=lambda argv: argv[0])
+def test_zeta_and_predict_load_no_openssl(tmp_path, argv):
+    """Cold and then warm, each in a fresh process, zeta and predict,
+    which the module checks above do not run, load no ``_hashlib``."""
+    cache = ["--cache-dir", str(tmp_path)]
+    for _ in ("cold", "warm"):
+        fresh = _fresh([argv + cache])
+        assert fresh["reports"][0]["passed"]
+        assert "_hashlib" not in fresh["modules"]
 
 
 @pytest.mark.parametrize("first", [ZETA, ["count"] + ZETA[1:]],
@@ -201,14 +217,17 @@ def test_zeta_on_cached_terms_leaves_numpy_unloaded(capsys, tmp_path, first):
     assert _strip(fresh["reports"][0]) == _strip(report)
 
 
-def test_cold_count_first_uses_numpy_on_worker_threads(tmp_path):
+def test_cold_count_splits_residues_on_worker_threads(tmp_path):
     """In its own fresh process, a cold count with four workers first
-    touches numpy on the worker threads; its report is the one-worker
-    report."""
-    argv = ["count", "--q", "3", "--s", "2", "--kmax", "6"]
+    touches numpy on the main thread, which builds each term's character
+    table, and splits the residues of its largest term over the worker
+    threads; its report is the one-worker report."""
+    argv = ["count", "--q", "3", "--s", "2", "--kmax", "9"]
     many, one = (_fresh([argv + ["--workers", w, "--cache-dir",
-                                 str(tmp_path / w)]])["reports"][0]
+                                 str(tmp_path / w)]])
                  for w in ("4", "1"))
+    assert many["threads"] and not one["threads"]
+    many, one = many["reports"][0], one["reports"][0]
     assert _strip(many) == _strip(one) and one["passed"]
 
 
@@ -230,7 +249,7 @@ def test_cold_count_on_many_threads_with_a_short_switch_interval(tmp_path):
     counts with four workers, each on a fresh cache, give the one-worker
     report: the first count executes counting on the main thread before
     any worker runs."""
-    argv = ["count", "--q", "3", "--s", "2", "--kmax", "6"]
+    argv = ["count", "--q", "3", "--s", "2", "--kmax", "9"]
     runs = [argv + ["--workers", "4", "--cache-dir", str(tmp_path / str(i))]
             for i in range(4)]
     many = json.loads(_python("import sys\nsys.setswitchinterval(1e-6)\n"
@@ -239,6 +258,32 @@ def test_cold_count_on_many_threads_with_a_short_switch_interval(tmp_path):
                           str(tmp_path / "one")]])["reports"][0]
     assert one["passed"]
     assert [_strip(r) for r in many] == [_strip(one)] * len(runs)
+
+
+# run ``python -m g2rigid.cli`` with the arguments given as JSON in
+# argv[1] and print its peak RSS in KiB (Linux); a child inherits the peak
+# of the process it was forked from, so this one stays small
+PEAK = """
+import json, os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "g2rigid.cli",
+                         *json.loads(sys.argv[1])],
+                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is counted in KiB on Linux")
+def test_cold_count_peaks_below_the_memory_model(tmp_path):
+    """A fresh cold count of ten terms on two workers peaks below the
+    modelled bytes of its largest term, the ones its workers are sized
+    by."""
+    argv = ["count", "--q", "3", "--s", "2", "--kmax", "10",
+            "--workers", "2", "--cache-dir", str(tmp_path)]
+    code, peak_kib = map(int, _python(PEAK, json.dumps(argv)).split())
+    assert code == 0
+    assert peak_kib * 1024 < transfer_bytes(3, 10, 2)
 
 
 STRESS = """
