@@ -206,16 +206,20 @@ def _series_terms(args, cache, k_max):
                 for k in range(1, k_max + 1)]
     # every record is looked up first, so a report lists every term's key
     recs = [cache.fetch(payload) for payload in payloads]
+    missing = [i for i, rec in enumerate(recs) if rec is None]
+    # every missing term is sized before the first runs, so an oversized
+    # one fails at once, not after the smaller ones
+    for i in missing:
+        counting.check_term(args.q, args.s, payloads[i]["k"], budget)
     workers = args.workers or min(4, os.cpu_count() or 1)
     # the missing terms run one after another, so one term's arrays are
     # live at a time; the workers split the residues of each term
-    for i, payload in enumerate(payloads):
-        if recs[i] is None:
-            t, crossed = counting.series_term(
-                args.q, args.s, payload["k"], variant=args.variant,
-                naive_budget=budget, workers=workers)
-            recs[i] = {"t": str(t), "cross_checked": crossed}
-            cache.put(payload, recs[i])
+    for i in missing:
+        t, crossed = counting.series_term(
+            args.q, args.s, payloads[i]["k"], variant=args.variant,
+            naive_budget=budget, workers=workers)
+        recs[i] = {"t": str(t), "cross_checked": crossed}
+        cache.put(payloads[i], recs[i])
     return recs
 
 

@@ -161,16 +161,32 @@ def transfer_bytes(p, k, workers):
     return 48 * 10 ** 6 + 5 * n + workers * (24 * n + 32 * p * p)
 
 
+def _check_bytes(what, p, k, need):
+    """TooLarge if the ``what`` over F_{p^k} needs over TRANSFER_BYTE_BOUND
+    bytes."""
+    if need > TRANSFER_BYTE_BOUND:
+        raise TooLarge(f"the {what} over F_{p}^{k} needs about {need} "
+                       f"bytes, over the bound {TRANSFER_BYTE_BOUND}")
+
+
 def transfer_workers(p, k, workers):
     """The most workers, at most ``workers``, whose modelled term fits
     TRANSFER_BYTE_BOUND; TooLarge if one worker does not fit."""
-    need = transfer_bytes(p, k, 1)
-    if need > TRANSFER_BYTE_BOUND:
-        raise TooLarge(f"the transfer over F_{p}^{k} needs about {need} "
-                       f"bytes, over the bound {TRANSFER_BYTE_BOUND}")
+    _check_bytes("transfer", p, k, transfer_bytes(p, k, 1))
     while transfer_bytes(p, k, workers) > TRANSFER_BYTE_BOUND:
         workers -= 1
     return workers
+
+
+def check_term(q, s, k, naive_budget=DEFAULT_SERIES_NAIVE_BUDGET):
+    """Refuse series term k before any of it runs: a q that is no odd
+    prime, an s that is 0 or 1 mod q, and a transfer or an admitted naive
+    cross-check over F_{q^k} over TRANSFER_BYTE_BOUND (TooLarge)."""
+    require_odd_prime(q)
+    _check_s(s % q)
+    transfer_workers(q, k, 1)
+    if q ** (6 * k) <= naive_budget:
+        _check_bytes("naive count", q, k, q ** (5 * k))
 
 
 def _check_s(s):
@@ -214,11 +230,12 @@ def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
     comes from ``LinearFactor.value`` and quad_char, independently of the
     transfer path.  For each x1 the int8 product of the tables is formed
     by broadcasting at every point of the remaining five axes and summed;
-    the products at full size are taken in place in one buffer.
+    the products at full size are taken in place in one n^5-byte buffer.
     """
     n = field_.size
     if n ** 6 > budget:
         raise TooLarge(f"{n}^6 points exceed the budget {budget}")
+    _check_bytes("naive count", field_.char, field_.k, n ** 5)
     factors = fiber_factors(s, ring=field_, variant=variant)
     chi = [int(u != 0) if trivial_character
            else quad_char(field_, u) for u in field_.elements()]
@@ -395,10 +412,8 @@ def series_term(q: int, s: int, k: int, variant="consecutive",
     ``workers`` threads.  Raises AssertionError on a transfer/naive
     mismatch.
     """
-    require_odd_prime(q)
+    check_term(q, s, k, naive_budget)  # before searching for a modulus
     s %= q
-    _check_s(s)
-    transfer_workers(q, k, 1)  # before searching for a degree-k modulus
     fk = ext_field(q, k, skip=modulus_skip)
     t = count_transfer(fk, s, variant=variant, workers=workers)
     crossed = False

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import jsonschema
 import pytest
@@ -151,6 +152,33 @@ def test_failed_count_lists_every_term_key(capsys, cache_dir):
     assert all(d == docs[0] for d in docs)
     assert len(docs[0]["cache_keys"]) == 4
     assert "NotInBase" in docs[0]["outputs"]["error"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--q", "3", "--s", "2", "--kmax", "16"],
+     r"TooLarge: the transfer over F_3\^16 needs about \d+ bytes"),
+    (["--q", "59", "--s", "2", "--kmax", "1", "--budget", str(59 ** 6)],
+     rf"TooLarge: the naive count over F_59\^1 needs about {59 ** 5} bytes"),
+    (["--q", "3", "--s", "3", "--kmax", "16"], r"NotInBase: "),
+    (["--q", "9", "--s", "2", "--kmax", "16"], r"InvalidCharacteristic: "),
+], ids=["transfer", "naive", "bad-s", "bad-q"])
+def test_count_refuses_an_oversized_term_before_the_first(
+        capsys, cache_dir, monkeypatch, argv, error):
+    """Every missing term is sized before any runs, after q and s are
+    checked: an oversized transfer or naive cross-check is reported at
+    once, and no term is computed or cached."""
+    from g2rigid import counting
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(counting, "series_term", refuse)
+    for command in ("count", "zeta"):
+        code, doc, _ = _run(capsys, [command] + argv
+                            + ["--cache-dir", cache_dir])
+        assert code == 1 and doc["passed"] is False
+        assert re.match(error, doc["outputs"]["error"])
+        assert not os.listdir(cache_dir)
 
 
 def test_csv_output(capsys, cache_dir):

@@ -170,6 +170,22 @@ def test_bad_parameters():
         series_term(3, 2, 16)
 
 
+def test_naive_refuses_a_buffer_over_the_byte_bound(monkeypatch):
+    """On F_59 the budget 59^6 admits the naive count, but its 59^5-byte
+    buffer exceeds TRANSFER_BYTE_BOUND; it is refused before any
+    character table is built.  F_55 is the largest field that fits."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(counting, "_factor_table", refuse)
+    monkeypatch.setattr(counting, "fiber_factors", refuse)
+    F59 = ext_field(59, 1)
+    with pytest.raises(TooLarge, match=rf"F_59\^1 needs about {59 ** 5} "
+                                       r"bytes"):
+        count_naive(F59, F59.from_int(2), budget=59 ** 6)
+    assert 56 ** 5 > counting.TRANSFER_BYTE_BOUND >= 55 ** 5
+
+
 def test_fiber_factor_count_and_degree():
     ff = fiber_factors(F5.from_int(2), ring=F5)
     assert len(ff.factors) == 13
