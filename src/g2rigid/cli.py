@@ -4,7 +4,10 @@ Every command emits a single self-describing JSON document (schema
 version embedded, integers as decimal strings) and exits 0 exactly when
 every requested certificate passed.  Results of expensive computations
 are cached content-addressed; reruns with the same configuration produce
-byte-identical reports except for the duration field.
+byte-identical reports except for the duration field.  Input a command
+refuses raises an ``errors.InputError``, reported as the ``error`` output
+with exit 1; a malformed flag or an uncreatable cache directory is a
+usage error (exit 2); any other exception is a fault of the program.
 
 Importing this module executes only ``cache`` and ``errors``.  Every
 other layer is registered in ``sys.modules`` through
@@ -35,11 +38,7 @@ import time
 
 from . import DEFAULT_SERIES_NAIVE_BUDGET, G2_RECIPE_LINES
 from .cache import ResultCache, resolve_cache_dir
-from .errors import (BadCharacteristic, BadResidue, DegenerateInput,
-                     DenominatorClash, InvalidCharacteristic, InvalidLambda,
-                     InvalidRational, InvalidScalar, NotInBase, NotOrdinary,
-                     RecipeFormatError, RecipeNotFound, TooLarge,
-                     TooSmallPrime, WrongRank)
+from .errors import InputError, InvalidRational, RecipeFormatError, TooLarge
 
 
 def _register_lazily(name):
@@ -70,14 +69,6 @@ for _layer in ("matrix", "modlinalg", "rings"):  # read by the layers above
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "schemas",
                            "report.schema.json")
 
-# the input errors a command reports (exit 1); any other exception is a
-# fault of the program and propagates as a traceback
-_HANDLED_ERRORS = (BadResidue, BadCharacteristic, TooLarge, NotOrdinary,
-                   TooSmallPrime, NotInBase, InvalidCharacteristic,
-                   InvalidScalar, InvalidLambda, DegenerateInput,
-                   DenominatorClash, RecipeFormatError, RecipeNotFound,
-                   WrongRank, InvalidRational)
-
 
 # ---------------------------------------------------------------------------
 # command handlers: each returns (outputs dict, passed bool)
@@ -88,12 +79,16 @@ def _recipe_lines(args):
     result, which ``convolution`` parses or finds, and otherwise the
     pinned lines, which need no layer."""
     if getattr(args, "recipe", None):
-        with open(args.recipe, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        try:
+            with open(args.recipe, "r", encoding="utf-8") as fh:
+                lines = [ln.strip() for ln in fh if ln.strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", exc)  # no path twice
+            raise RecipeFormatError(
+                f"cannot read recipe file {args.recipe!r}: {reason}") from None
         return convolution.Recipe.from_lines(lines).to_lines()
     if getattr(args, "search", False):
-        return convolution.search_g2_recipe(
-            convolution.SearchBounds()).to_lines()
+        return convolution.search_g2_recipe().to_lines()
     return list(G2_RECIPE_LINES)
 
 
@@ -148,7 +143,7 @@ def cmd_certify(args, cache):
                 report = g2forms.generation_certificate(
                     g2forms.reduce_mod(realized[0], ell))
                 return report.to_json()
-            except _HANDLED_ERRORS as exc:
+            except InputError as exc:
                 return {"ell": str(ell), "verdict": "Error",
                         "error": f"{type(exc).__name__}: {exc}"}
 
@@ -211,7 +206,7 @@ def _series_terms(args, cache, k_max):
     # one fails at once, not after the smaller ones
     for i in missing:
         counting.check_term(args.q, args.s, payloads[i]["k"], budget)
-    workers = args.workers or min(4, os.cpu_count() or 1)
+    workers = args.workers or 4  # counting caps them at the CPUs
     # the missing terms run one after another, so one term's arrays are
     # live at a time; the workers split the residues of each term
     for i in missing:
@@ -299,9 +294,9 @@ def build_parser():
     common.add_argument("--format", choices=["json", "csv"], default="json")
     common.add_argument("--workers", type=_positive_int, default=None,
                         help="threads that compute the residues of a "
-                             "count or zeta term (default: the CPUs, at "
-                             "most 4; fewer if a term's memory model "
-                             "would exceed its bound)")
+                             "count or zeta term (default 4; never more "
+                             "than the CPUs, and fewer if a term's memory "
+                             "model would exceed its bound)")
 
     # the character-sum series of count and zeta
     series = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -436,11 +431,14 @@ def _config_json(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    try:
+        cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    except OSError as exc:  # a new parser: none stays live during a command
+        build_parser().error(f"cannot create the cache directory: {exc}")
     start = time.monotonic()
     try:
         outputs, passed = args.fn(args, cache)
-    except _HANDLED_ERRORS as exc:
+    except InputError as exc:
         outputs = {"error": f"{type(exc).__name__}: {exc}"}
         passed = False
     envelope = {

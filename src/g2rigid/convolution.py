@@ -352,11 +352,11 @@ def realize(recipe: Recipe) -> RigidTuple:
     return t
 
 
-@dataclass
-class SearchBounds:
-    max_mc_steps: int = 8
-    max_rank: int = 7
-    max_nodes: int = 20000
+# the bounds of ``search_g2_recipe``: middle convolutions along a path,
+# the rank of a kept tuple, and the tuples visited
+SEARCH_MAX_MC_STEPS = 8
+SEARCH_MAX_RANK = 7
+SEARCH_MAX_NODES = 20000
 
 
 _SEEDS = ((Fraction(-1), Fraction(-1)), (Fraction(-1), Fraction(1)),
@@ -400,7 +400,7 @@ def g2_triple() -> RigidTuple:
     return t
 
 
-def search_g2_recipe(bounds: SearchBounds | None = None) -> Recipe:
+def search_g2_recipe() -> Recipe:
     """Breadth-first search over {+-1}-twists and MC_{-1} steps.
 
     Every visited tuple's profile is tested against the target in all six
@@ -408,7 +408,6 @@ def search_g2_recipe(bounds: SearchBounds | None = None) -> Recipe:
     recipe as rotate/swap steps.  Returns the first hit in deterministic
     expansion order.
     """
-    bounds = bounds or SearchBounds()
     lam = Fraction(-1)
     queue = deque()
     seen = set()
@@ -419,13 +418,13 @@ def search_g2_recipe(bounds: SearchBounds | None = None) -> Recipe:
     while queue:
         recipe, t, mc_used = queue.popleft()
         nodes += 1
-        if nodes > bounds.max_nodes:
+        if nodes > SEARCH_MAX_NODES:
             break
         profile = local_profile(t)
         for perm in _POINT_PERMS:
             if is_g2_profile(_permute_profile(profile, perm)):
                 return Recipe(recipe.seed, recipe.steps + perm)
-        if mc_used >= bounds.max_mc_steps:
+        if mc_used >= SEARCH_MAX_MC_STEPS:
             continue
         # convolve directly, then after each nontrivial twist
         pre_steps = [()] + [(("twist", tw),) for tw in _TWISTS]
@@ -439,7 +438,7 @@ def search_g2_recipe(bounds: SearchBounds | None = None) -> Recipe:
                 conv = middle_convolution(base, lam)
             except (DegenerateInput, AssertionError):
                 continue
-            if conv.n > bounds.max_rank:
+            if conv.n > SEARCH_MAX_RANK:
                 continue
             key = (conv.n, local_profile(conv))
             if key in seen:

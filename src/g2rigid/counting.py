@@ -16,6 +16,7 @@ theorem.  Both work on the field's integer codes in [0, p^k) (see
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from math import isqrt
 
@@ -170,9 +171,11 @@ def _check_bytes(what, p, k, need):
 
 
 def transfer_workers(p, k, workers):
-    """The most workers, at most ``workers``, whose modelled term fits
-    TRANSFER_BYTE_BOUND; TooLarge if one worker does not fit."""
+    """The most workers, at most ``workers`` and at most the CPUs, whose
+    modelled term fits TRANSFER_BYTE_BOUND; TooLarge if one worker does
+    not fit.  More threads than cores run a term slower, not faster."""
     _check_bytes("transfer", p, k, transfer_bytes(p, k, 1))
+    workers = min(workers, os.cpu_count() or 1)
     while transfer_bytes(p, k, workers) > TRANSFER_BYTE_BOUND:
         workers -= 1
     return workers

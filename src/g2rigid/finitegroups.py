@@ -304,11 +304,15 @@ def _spin(mats, rows, p):
             [matmul_mod(front, M.T, p) for M in mats]), p)
 
 
-def _word_elements(mats, p, tries):
+# the word elements ``_composition_dims`` tries before Burnside's test
+_WORD_TRIES = 12
+
+
+def _word_elements(mats, p):
     """Deterministic sequence of algebra elements built from generator words."""
     n = mats[0].shape[0]
     state = 1
-    for _ in range(tries):
+    for _ in range(_WORD_TRIES):
         acc = np.zeros((n, n), dtype=np.int64)
         word = np.eye(n, dtype=np.int64)
         for _step in range(4):
@@ -319,7 +323,7 @@ def _word_elements(mats, p, tries):
         yield acc
 
 
-def _composition_dims(mats, p, tries=12):
+def _composition_dims(mats, p):
     """Composition factor dimensions of the module with given action.
 
     A vector in the kernel of theta - a I, for each singular shift a of
@@ -337,7 +341,7 @@ def _composition_dims(mats, p, tries=12):
     dim = mats[0].shape[0]
     if dim == 1:
         return [1]
-    for theta in _word_elements(mats, p, tries):
+    for theta in _word_elements(mats, p):
         for a in singular_shifts(theta, p):
             shifted = _shift(theta, a, p)
             kernel = nullspace_mod(shifted, p)

@@ -274,7 +274,10 @@ def singular_shifts(theta, p):
     roots of ``charpoly_mod(theta, p)``.
 
     The polynomial is evaluated by Horner's rule at every a in F_p, in
-    blocks of ``_SHIFT_BLOCK_ENTRIES`` points.
+    blocks of ``_SHIFT_BLOCK_ENTRIES`` points, so the time grows linearly
+    with p: a cold ``hmodule`` takes 0.7 s at p = 100003, 2.9 s at
+    1000133 and 19 s at 10000019 (2-CPU machine), and would take about
+    an hour near 2^31, although its results there are still exact.
     """
     coeffs = [int(c) for c in charpoly_mod(theta, p)[::-1]]
     for start in range(0, p, _SHIFT_BLOCK_ENTRIES):

@@ -305,6 +305,59 @@ def test_triple_recipe_input_errors(capsys, cache_dir, tmp_path, text, error):
     assert code == 1 and doc["outputs"]["error"] == error
 
 
+def _missing(tmp_path):
+    return tmp_path / "missing.txt"
+
+
+def _directory(tmp_path):
+    (tmp_path / "recipes").mkdir()
+    return tmp_path / "recipes"
+
+
+def _latin1(tmp_path):
+    path = tmp_path / "recipe.txt"
+    path.write_bytes("seed -1 -1\nmc -1 \xb7\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("argv, make, reason", [
+    (["triple"], _missing, "No such file or directory"),
+    (["triple"], _directory, "Is a directory"),
+    (["certify", "--ell", "7"], _latin1,
+     "'utf-8' codec can't decode byte 0xb7 in position 17: invalid start "
+     "byte"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_unreadable_recipe_file_is_an_input_error(capsys, cache_dir,
+                                                  tmp_path, argv, make,
+                                                  reason):
+    """A --recipe file that cannot be opened or decoded is refused with an
+    exit-1 report that names it, not a traceback; no record is written."""
+    path = str(make(tmp_path))
+    code, doc, _ = _run(capsys, argv + ["--recipe", path,
+                                        "--cache-dir", cache_dir])
+    assert code == 1 and doc["passed"] is False
+    assert doc["outputs"]["error"] == \
+        f"RecipeFormatError: cannot read recipe file {path!r}: {reason}"
+    assert doc["cache_keys"] == [] and os.listdir(cache_dir) == []
+
+
+@pytest.mark.parametrize("argv", [["triple"], ["predict", "--s", "8/5"]],
+                         ids=lambda argv: argv[0])
+def test_uncreatable_cache_dir_is_a_usage_error(capsys, tmp_path, argv):
+    """A --cache-dir below a regular file cannot be created: argparse
+    refuses it with exit 2, as any other malformed flag, and no report is
+    written."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--cache-dir", str(blocker / "cache")])
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: cannot create the cache directory: [Errno 20] Not a " \
+        f"directory: {str(blocker / 'cache')!r}" in err
+
+
 def test_triple_zero_seed_is_an_input_error(capsys, cache_dir, tmp_path):
     path = tmp_path / "recipe.txt"
     path.write_text("seed 0 1\nmc -1\n")

@@ -96,10 +96,24 @@ def test_transfer_on_two_workers_is_the_one_worker_transfer(monkeypatch,
                                                             field_, s,
                                                             variant, trivial):
     monkeypatch.setattr(counting, "_POOL_MIN_SIZE", 1)  # pool on small fields
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: 2)  # one core each
     one, two = (count_transfer(field_, s, variant=variant,
                                trivial_character=trivial, workers=w)
                 for w in (1, 2))
     assert one == two
+
+
+@pytest.mark.parametrize("cpus, k, workers, admitted", [
+    (2, 9, 4, 2), (1, 9, 4, 1), (None, 9, 4, 1), (8, 9, 4, 4), (8, 9, 2, 2),
+    (8, 15, 4, 1),  # the memory model admits one worker at k = 15
+])
+def test_transfer_workers_never_exceed_the_cpus(monkeypatch, cpus, k,
+                                                workers, admitted):
+    """More threads than cores run a term slower, so the workers are
+    capped at the CPUs (one when the count is unknown) as well as by the
+    memory model."""
+    monkeypatch.setattr(counting.os, "cpu_count", lambda: cpus)
+    assert counting.transfer_workers(3, k, workers) == admitted
 
 
 def test_cyclic_variant_consistent():

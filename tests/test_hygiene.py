@@ -3,6 +3,8 @@ import pathlib
 
 import pytest
 
+from g2rigid import errors
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "g2rigid"
 
 
@@ -46,6 +48,36 @@ def test_cli_imports_only_cache_and_errors_eagerly():
     """Every other layer is registered lazily by ``cli``, so that a
     command executes only the layers it calls."""
     assert _eager_layer_imports(SRC / "cli.py") == ["cache", "errors"]
+
+
+def _error_classes():
+    """The exception classes ``errors`` defines, ``InputError`` aside."""
+    return {name: cls for name, cls in vars(errors).items()
+            if isinstance(cls, type) and cls.__module__ == errors.__name__
+            and cls is not errors.InputError}
+
+
+def test_every_error_is_an_input_error():
+    """``cli`` reports exactly the InputErrors, so every class ``errors``
+    defines is one; each keeps the builtin base its callers catch."""
+    classes = _error_classes()
+    assert len(classes) > 10
+    assert [name for name, cls in classes.items()
+            if not issubclass(cls, errors.InputError)
+            or not issubclass(cls, (ValueError, RuntimeError))] == []
+
+
+def test_cli_imports_from_errors_only_input_error_and_what_it_raises():
+    """``cli`` catches ``InputError`` alone, so it needs no other error
+    class but the ones it raises by name: no list of the classes it
+    reports can fall behind ``errors``."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module == "errors" for alias in node.names}
+    raised = {getattr(getattr(node.exc, "func", node.exc), "id", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Raise)}
+    assert imported == {"InputError"} | (raised & set(_error_classes()))
 
 
 ROOT = SRC.parent.parent

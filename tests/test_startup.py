@@ -217,6 +217,12 @@ def test_zeta_on_cached_terms_leaves_numpy_unloaded(capsys, tmp_path, first):
     assert _strip(fresh["reports"][0]) == _strip(report)
 
 
+# with one CPU, counting runs every term on the main thread
+needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                    reason="workers are capped at the CPUs")
+
+
+@needs_two_cpus
 def test_cold_count_splits_residues_on_worker_threads(tmp_path):
     """In its own fresh process, a cold count with four workers first
     touches numpy on the main thread, which builds each term's character
@@ -244,6 +250,7 @@ def test_cold_one_term_count_starts_no_thread(tmp_path):
     assert one["reports"][0]["passed"]
 
 
+@needs_two_cpus
 def test_cold_count_on_many_threads_with_a_short_switch_interval(tmp_path):
     """In a fresh process that switches threads every microsecond, cold
     counts with four workers, each on a fresh cache, give the one-worker
