@@ -38,7 +38,7 @@ import time
 
 from . import DEFAULT_SERIES_NAIVE_BUDGET, G2_RECIPE_LINES
 from .cache import ResultCache, resolve_cache_dir
-from .errors import InputError, InvalidRational, RecipeFormatError, TooLarge
+from .errors import InputError, InvalidRational, RecipeFormatError
 
 
 def _register_lazily(name):
@@ -105,7 +105,7 @@ def _compute_triple_record(recipe):
         "denominator": str(t.denominator()),
         "product_ok": t.product_relation_holds(),
         "rigidity_index": str(convolution.rigidity_index(t)),
-        "profile": g2forms._profile_json(profile),
+        "profile": convolution.profile_json(profile),
         "profile_ok": convolution.is_g2_profile(profile),
         "invariant_form_dims": [str(d2), str(d3)],
         "lie_stabilizer_dim": str(stab),
@@ -194,58 +194,48 @@ def cmd_sl2(args, cache):
     return rec, True
 
 
-def _series_terms(args, cache, k_max):
-    budget = args.budget if args.budget else DEFAULT_SERIES_NAIVE_BUDGET
-    payloads = [{"kind": "series-term", "q": args.q, "s": args.s, "k": k,
-                 "variant": args.variant, "naive_budget": budget, "v": 1}
-                for k in range(1, k_max + 1)]
-    # every record is looked up first, so a report lists every term's key
-    recs = [cache.fetch(payload) for payload in payloads]
-    missing = [i for i, rec in enumerate(recs) if rec is None]
-    # every missing term is sized before the first runs, so an oversized
-    # one fails at once, not after the smaller ones
-    for i in missing:
-        counting.check_term(args.q, args.s, payloads[i]["k"], budget)
-    workers = args.workers or 4  # counting caps them at the CPUs
-    # the missing terms run one after another, so one term's arrays are
-    # live at a time; the workers split the residues of each term
-    for i in missing:
-        t, crossed = counting.series_term(
-            args.q, args.s, payloads[i]["k"], variant=args.variant,
-            naive_budget=budget, workers=workers)
-        recs[i] = {"t": str(t), "cross_checked": crossed}
-        cache.put(payloads[i], recs[i])
-    return recs
+def _series(args, cache):
+    """The series record ``count`` reports and ``zeta`` nests.  Every
+    term's record is looked up first, so a report lists every term's key;
+    the missing terms run through ``counting.series_terms``, which sizes
+    them all before the first runs.  A warm series executes no
+    ``counting``."""
+    budget = args.budget or DEFAULT_SERIES_NAIVE_BUDGET
 
+    def payload(k):
+        return {"kind": "series-term", "q": args.q, "s": args.s, "k": k,
+                "variant": args.variant, "naive_budget": budget, "v": 1}
 
-def cmd_count(args, cache):
-    try:
-        recs = _series_terms(args, cache, args.kmax)
-    except TooLarge as exc:
-        raise TooLarge(f"{exc} (smallest failing k determines the bound)")
-    outputs = {
+    recs = {k: cache.fetch(payload(k)) for k in range(1, args.kmax + 1)}
+    missing = [k for k, rec in recs.items() if rec is None]
+    if missing:
+        for k, t, crossed in counting.series_terms(
+                args.q, args.s, missing, variant=args.variant,
+                naive_budget=budget,
+                workers=args.workers or 4):  # counting caps them at the CPUs
+            recs[k] = {"t": str(t), "cross_checked": crossed}
+            cache.put(payload(k), recs[k])
+    return {
         "q": str(args.q),
         "s": str(args.s % args.q),
         "variant": args.variant,
-        "terms": [r["t"] for r in recs],
-        "cross_checked_k": [str(k) for k, r in enumerate(recs, 1)
+        "terms": [r["t"] for r in recs.values()],
+        "cross_checked_k": [str(k) for k, r in recs.items()
                             if r["cross_checked"]],
     }
-    return outputs, True
+
+
+def cmd_count(args, cache):
+    return _series(args, cache), True
 
 
 def cmd_zeta(args, cache):
-    recs = _series_terms(args, cache, args.kmax)
-    series = zeta.ChiSeries(q=args.q, s=args.s % args.q,
-                            variant=args.variant,
-                            terms=[int(r["t"]) for r in recs],
-                            cross_checked=[k for k, r in enumerate(recs, 1)
-                                           if r["cross_checked"]])
-    report = zeta.zeta_analysis(series)
-    outputs = {"series": series.to_json(), "analysis": report.to_json()}
+    series = _series(args, cache)
+    report = zeta.zeta_analysis(args.q, args.s % args.q,
+                                [int(t) for t in series["terms"]])
     passed = (not report.inconsistent) and \
         (report.weil_ok or report.underdetermined)
-    return outputs, passed
+    return {"series": series, "analysis": report.to_json()}, passed
 
 
 def cmd_predict(args, cache):

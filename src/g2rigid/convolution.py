@@ -17,7 +17,7 @@ from . import G2_RECIPE_LINES
 from .errors import (DegenerateInput, InvalidLambda, InvalidScalar,
                      RecipeFormatError, RecipeNotFound)
 from .matrix import Matrix, partition_from_ranks, rational_matrix
-from .rings import QQ
+from .rings import QQ, prime_factors
 
 
 class RigidTuple:
@@ -67,17 +67,10 @@ class RigidTuple:
 
     def denominator(self) -> int:
         """Least squarefree N with all entries (incl. A_inf) in Z[1/N]: the
-        product of the primes dividing a matrix's common denominator."""
-        d = math.lcm(*(m.den for m in self.all_points()))
-        n = 1
-        f = 2
-        while f * f <= d:
-            if d % f == 0:
-                n *= f
-                while d % f == 0:
-                    d //= f
-            f += 1
-        return n * d
+        product of the primes dividing a matrix's common denominator
+        (``rings.prime_factors``: TooLarge past its bound)."""
+        return math.prod(prime_factors(
+            math.lcm(*(m.den for m in self.all_points()))))
 
     def __repr__(self):
         return f"RigidTuple(n={self.n}, r={self.r})"
@@ -161,6 +154,13 @@ def point_profile(n, partitions):
     if accounted < n:
         entries.append(("other", (n - accounted,)))
     return tuple(sorted(entries))
+
+
+def profile_json(profile):
+    """A ``point_profile`` tuple per point as JSON: labels and the parts
+    of each partition as strings."""
+    return [[[ev, [str(x) for x in part]] for ev, part in point]
+            for point in profile]
 
 
 def is_g2_profile(profile) -> bool:
@@ -436,7 +436,7 @@ def search_g2_recipe() -> Recipe:
                 continue
             try:
                 conv = middle_convolution(base, lam)
-            except (DegenerateInput, AssertionError):
+            except DegenerateInput:
                 continue
             if conv.n > SEARCH_MAX_RANK:
                 continue

@@ -11,6 +11,9 @@ runs each convolution in the Fourier domain of (F_{p^k}, +) = (Z/p)^k,
 exactly modulo several primes, and recovers T by the Chinese remainder
 theorem.  Both work on the field's integer codes in [0, p^k) (see
 ``rings``), so every character table is indexed by the element itself.
+``series_terms`` is the one loop over the terms T_k of a series, under
+``chi_series`` and the CLI's ``count`` and ``zeta``: it sizes every term
+(``check_term``) before the first runs.
 """
 
 from __future__ import annotations
@@ -380,30 +383,47 @@ def count_transfer(field_, s, variant="consecutive",
 # ---------------------------------------------------------------------------
 # extension-field series
 
+@dataclass
+class ChiSeries:
+    """Character sums T_k over the degree-k extensions of F_q."""
+
+    q: int
+    s: int
+    variant: str
+    terms: list
+    cross_checked: list
+
+
 def chi_series(q: int, s: int, k_max: int = 7, variant="consecutive",
                naive_budget=DEFAULT_SERIES_NAIVE_BUDGET,
-               modulus_skip: int = 0):
-    """T_k = sum of chi(f_s) over F_{q^k}^6 for k = 1..k_max, as a
-    ``zeta.ChiSeries``.
+               modulus_skip: int = 0) -> ChiSeries:
+    """T_k = sum of chi(f_s) over F_{q^k}^6 for k = 1..k_max, from
+    ``series_terms``: no term runs unless every one fits its bounds."""
+    run = list(series_terms(q, s, range(1, k_max + 1), variant,
+                            naive_budget, modulus_skip))
+    return ChiSeries(q=q, s=s % q, variant=variant,
+                     terms=[t for _, t, _ in run],
+                     cross_checked=[k for k, _, crossed in run if crossed])
 
-    Uses the transfer path, cross-checked against the naive oracle on
-    every extension small enough for ``naive_budget``.  The extension
-    fields use the deterministic smallest irreducible modulus;
-    ``modulus_skip`` selects a later modulus to assert presentation
-    independence.
+
+def series_terms(q: int, s: int, ks, variant="consecutive",
+                 naive_budget=DEFAULT_SERIES_NAIVE_BUDGET,
+                 modulus_skip: int = 0, workers=1):
+    """(k, T_k, cross_checked) for each k in the sequence ``ks``, by
+    ``series_term``.
+
+    Every k is refused or admitted by ``check_term`` before the first term
+    runs, so an oversized term fails at once, not after the smaller ones.
+    The terms then run one after another, so one term's arrays are live
+    at a time; the transfer's residues of each run on up to ``workers``
+    threads.
     """
-    from .zeta import ChiSeries  # zeta executes only for a series
-    terms = []
-    checked = []
-    for k in range(1, k_max + 1):
-        t, crossed = series_term(q, s, k, variant=variant,
-                                 naive_budget=naive_budget,
-                                 modulus_skip=modulus_skip)
-        terms.append(t)
-        if crossed:
-            checked.append(k)
-    return ChiSeries(q=q, s=s % q, variant=variant, terms=terms,
-                     cross_checked=checked)
+    for k in ks:
+        check_term(q, s, k, naive_budget)
+    for k in ks:
+        yield (k, *series_term(q, s, k, variant=variant,
+                               naive_budget=naive_budget,
+                               modulus_skip=modulus_skip, workers=workers))
 
 
 def series_term(q: int, s: int, k: int, variant="consecutive",
@@ -411,7 +431,9 @@ def series_term(q: int, s: int, k: int, variant="consecutive",
                 modulus_skip: int = 0, workers=1):
     """One series term T_k, with a naive cross-check where affordable.
 
-    Returns (T_k, cross_checked).  The transfer's residues run on up to
+    Returns (T_k, cross_checked).  F_{q^k} is presented by the smallest
+    irreducible modulus, or by the ``modulus_skip``-th after it to assert
+    presentation independence.  The transfer's residues run on up to
     ``workers`` threads.  Raises AssertionError on a transfer/naive
     mismatch.
     """

@@ -14,7 +14,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .convolution import RigidTuple, is_g2_profile, point_profile
+from .convolution import (RigidTuple, is_g2_profile, point_profile,
+                          profile_json)
 from .errors import DenominatorClash, WrongRank
 from .matrix import Matrix, partition_from_ranks, rational_matrix
 from .modlinalg import enveloping_dim, matmul_mod, mod_array, np, rank_mod
@@ -181,9 +182,9 @@ def reduce_mod(t: RigidTuple, ell: int) -> ReducedTuple:
     """Entrywise reduction of a tuple over Q, A_inf included, to F_ell
     (ell an odd prime below 2^31 that divides no denominator)."""
     require_odd_prime(ell)
-    N = t.denominator()
-    if N % ell == 0:
-        raise DenominatorClash(f"{ell} divides the tuple denominator {N}")
+    if any(m.den % ell == 0 for m in t.all_points()):  # no factoring
+        raise DenominatorClash(
+            f"{ell} divides the tuple denominator {t.denominator()}")
 
     def red(m):
         inv = pow(m.den, -1, ell)
@@ -237,7 +238,7 @@ class GenerationReport:
     def to_json(self):
         return {
             "ell": str(self.ell),
-            "profile": _profile_json(self.profile),
+            "profile": profile_json(self.profile),
             "ell_gt_5": self.ell_gt_5,
             "product_ok": self.product_ok,
             "profile_ok": self.profile_ok,
@@ -246,11 +247,6 @@ class GenerationReport:
             "verdict": self.verdict,
             "reasons": list(self.reasons),
         }
-
-
-def _profile_json(profile):
-    return [[[ev, [str(x) for x in part]] for ev, part in point]
-            for point in profile]
 
 
 def generation_certificate(t: ReducedTuple) -> GenerationReport:

@@ -49,6 +49,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+TRIAL_DIVISION_BOUND = 2 ** 20
+
+
+def prime_factors(n: int) -> list:
+    """The distinct prime factors of a nonzero integer, increasing.
+
+    Trial division by 2 and the odd f up to TRIAL_DIVISION_BOUND; a
+    cofactor left past it is one prime when ``is_prime`` says so, and is
+    refused otherwise (TooLarge)."""
+    n = abs(n)
+    primes = []
+    for f in itertools.chain((2,), range(3, TRIAL_DIVISION_BOUND + 1, 2)):
+        if f * f > n:
+            break
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+    else:
+        if n > 1 and not is_prime(n):
+            raise TooLarge(f"{n} is composite with no prime factor up to "
+                           f"{TRIAL_DIVISION_BOUND}: not factored")
+    return primes + [n] if n > 1 else primes
+
+
 def require_odd_prime(p: int) -> None:
     if p == 2 or not is_prime(p):
         raise InvalidCharacteristic(f"need an odd prime, got {p}")

@@ -7,42 +7,22 @@ the rationals) recovers the model; only the root extraction is numeric.
 It runs in pure Python on ``complex``, without numpy: Aberth-Ehrlich
 iteration for the roots (``poly_roots``), then Gaussian elimination of
 the Vandermonde system for the signed counts (``solve_complex``).
-Weight bounds cap every |lambda_i| at q^3.  The series is a
-``ChiSeries``, defined here so that analysing cached terms does not
-execute ``counting``, which computes them.
+Weight bounds cap every |lambda_i| at q^3.  The analysis reads the
+terms alone, so analysing cached terms does not execute ``counting``,
+which computes them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotInBase
 
 MODULUS_REL_TOL = 1e-6
 ROOT_MAX_ITER = 100  # iteration cap of each loop in the root finder
-
-
-@dataclass
-class ChiSeries:
-    """Character sums T_k over the degree-k extensions of F_q."""
-
-    q: int
-    s: int
-    variant: str
-    terms: list
-    cross_checked: list = field(default_factory=list)
-
-    def to_json(self):
-        return {
-            "q": str(self.q),
-            "s": str(self.s),
-            "variant": self.variant,
-            "terms": [str(t) for t in self.terms],
-            "cross_checked_k": [str(k) for k in self.cross_checked],
-        }
 
 
 def min_recurrence(terms):
@@ -233,8 +213,9 @@ class ZetaReport:
         }
 
 
-def zeta_analysis(series) -> ZetaReport:
-    """Fit the series as a signed power sum and report eigenvalue moduli.
+def zeta_analysis(q, s, terms) -> ZetaReport:
+    """Fit the terms T_1, T_2, ... of the series of F_q and the parameter
+    s as a signed power sum and report eigenvalue moduli.
 
     The fit is exact-first: the minimal rational recurrence is computed
     from the integer terms, and checked against every term; numerical
@@ -245,8 +226,7 @@ def zeta_analysis(series) -> ZetaReport:
     its minimal recurrence is monic over Z.  Any other fit is flagged as
     underdetermined, not rejected, and its moduli give no Weil verdict.
     """
-    terms = list(series.terms)
-    q = series.q
+    terms = list(terms)
     rec = min_recurrence(terms)
     length = len(rec)
     # consistency of the recurrence against every term
@@ -284,7 +264,7 @@ def zeta_analysis(series) -> ZetaReport:
         for _, _, z in eigenvalues)
     weil_ok = max_mod <= q3 * (1 + MODULUS_REL_TOL)
     ratios = [abs(t) / q3 ** k for k, t in enumerate(terms, 1)]
-    return ZetaReport(q=q, s=series.s, model_length=length,
+    return ZetaReport(q=q, s=s, model_length=length,
                       eigenvalues=eigenvalues, max_modulus=max_mod,
                       weight6_count=weight6, q3_present=q3_present,
                       weil_ok=weil_ok, underdetermined=underdetermined,
@@ -305,23 +285,6 @@ def _nu(p: int, x: Fraction) -> int:
         d //= p
         v -= 1
     return v
-
-
-def _odd_prime_factors(n: int):
-    n = abs(n)
-    out = []
-    while n % 2 == 0:
-        n //= 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass
@@ -348,18 +311,21 @@ def local_type_prediction(s: Fraction) -> LocalTypePrediction:
     At an odd prime p: type "Steinberg-U(7)" exactly when nu_p(s) < 0
     (the parameter is p-adically large), type "U(3)+U(2)+U(2)" exactly
     when nu_p(1 - s) > 0 (the parameter degenerates to 1); the prime 2 is
-    always excluded.
+    always excluded.  The primes come from ``rings.prime_factors``, which
+    refuses a number it cannot factor within its trial-division bound
+    (TooLarge).
     """
+    from .rings import prime_factors  # a warm zeta executes zeta only
     s = Fraction(s)
     if s == 0 or s == 1:
         raise NotInBase("the parameter s must avoid 0 and 1")
     one_minus = 1 - s
-    primes = set()
-    for x in (s, one_minus):
-        primes.update(_odd_prime_factors(x.numerator))
-        primes.update(_odd_prime_factors(x.denominator))
+    # s and 1 - s share their denominator
+    top_s, top_1ms, bottom = ({p for p in prime_factors(n) if p != 2}
+                              for n in (s.numerator, one_minus.numerator,
+                                        s.denominator))
     entries = []
-    for p in sorted(primes):
+    for p in sorted(top_s | top_1ms | bottom):
         vs = _nu(p, s)
         vm = _nu(p, one_minus)
         if vs < 0:
@@ -369,7 +335,6 @@ def local_type_prediction(s: Fraction) -> LocalTypePrediction:
         else:
             t = "none"
         entries.append((p, t, vs, vm))
-    frac = s - 1
-    shape_ok = bool(_odd_prime_factors(frac.numerator)
-                    and _odd_prime_factors(frac.denominator))
+    # s - 1 = -(1 - s)
+    shape_ok = bool(top_1ms and bottom)
     return LocalTypePrediction(s=s, entries=entries, shape_ok=shape_ok)

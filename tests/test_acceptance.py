@@ -162,7 +162,7 @@ def test_criterion_6_counting_oracle():
 def test_criterion_7_weil_weight_check():
     start = time.monotonic()
     series = chi_series(3, 2, k_max=7)
-    rep = zeta_analysis(series)
+    rep = zeta_analysis(series.q, series.s, series.terms)
     # the modulus bound is required only of a determined model; an
     # underdetermined fit at k_max = 7 is a flag, not a hard failure
     bound_ok = rep.max_modulus <= 27.0 * (1 + MODULUS_REL_TOL)

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
+from g2rigid import G2_RECIPE_LINES
 from g2rigid.cache import (CACHE_ENV_VAR, ResultCache, canonical_json,
                            content_key, resolve_cache_dir)
 from g2rigid.cli import SCHEMA_PATH, main, validate
@@ -90,6 +91,38 @@ def test_predict_malformed_s_is_an_input_error(capsys, cache_dir, s):
     assert code == 1 and doc["passed"] is False
     assert doc["outputs"]["error"] == \
         f"InvalidRational: --s {s!r} is not a rational number"
+
+
+BIG_PRIME = 2 ** 61 - 1  # past the trial-division bound of the factorization
+
+
+@pytest.mark.parametrize("argv, lines, read, want", [
+    (["predict", "--s", str(BIG_PRIME)], None,
+     lambda out: out["entries"][-1]["p"], str(BIG_PRIME)),
+    (["certify", "--ell", "7"], [f"seed 1/{BIG_PRIME} -1"],
+     lambda out: out["summary"], "Incomplete"),
+    (["triple"], list(G2_RECIPE_LINES) + [f"twist 1/{BIG_PRIME} 1"],
+     lambda out: out["denominator"], str(BIG_PRIME)),
+], ids=["predict", "certify", "triple"])
+def test_a_large_prime_is_factored_at_once(capsys, cache_dir, tmp_path,
+                                            argv, lines, read, want):
+    """A prime past the trial-division bound is recognized as one, not
+    divided by every integer up to its square root."""
+    if lines:
+        path = tmp_path / "recipe.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv = argv + ["--recipe", str(path)]
+    _, doc, _ = _run(capsys, argv + ["--cache-dir", cache_dir])
+    assert read(doc["outputs"]) == want
+
+
+def test_predict_refuses_a_number_it_cannot_factor(capsys, cache_dir):
+    code, doc, _ = _run(capsys, ["predict", "--s", "1000000016000000063/7",
+                                 "--cache-dir", cache_dir])
+    assert code == 1 and doc["passed"] is False
+    assert doc["outputs"]["error"] == (
+        "TooLarge: 1000000016000000063 is composite with no prime factor "
+        "up to 1048576: not factored")
 
 
 def test_internal_value_error_propagates(cache_dir, monkeypatch):
@@ -179,6 +212,19 @@ def test_count_refuses_an_oversized_term_before_the_first(
         assert code == 1 and doc["passed"] is False
         assert re.match(error, doc["outputs"]["error"])
         assert not os.listdir(cache_dir)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "5", "--s", "8", "--kmax", "2", "--variant", "cyclic"],
+    ["--q", "3", "--s", "2", "--kmax", "16"],
+], ids=["terms", "oversized"])
+def test_zeta_nests_the_count_report(capsys, cache_dir, argv):
+    """``zeta`` reports, under ``series``, what ``count`` reports for the
+    same arguments, and a refusal in the same words."""
+    argv = argv + ["--cache-dir", cache_dir]
+    count = _run(capsys, ["count"] + argv)[1]["outputs"]
+    zeta = _run(capsys, ["zeta"] + argv)[1]["outputs"]
+    assert zeta == count if "error" in count else zeta["series"] == count
 
 
 def test_csv_output(capsys, cache_dir):

@@ -195,6 +195,17 @@ def test_rigidity_index_falls_back_off_plus_minus_one(lines, monkeypatch):
     assert len(calls) == others
 
 
+def test_search_propagates_an_assertion_error(monkeypatch):
+    """An AssertionError in a middle convolution is a lost invariant, not
+    a dead end of the search."""
+    def lose_an_invariant(t, lam):
+        raise AssertionError("product relation lost in middle convolution")
+
+    monkeypatch.setattr(convolution, "middle_convolution", lose_an_invariant)
+    with pytest.raises(AssertionError, match="product relation lost"):
+        search_g2_recipe()
+
+
 def test_pinned_recipe_lines_have_one_definition():
     """The package defines the pinned lines, so that the command line
     keys its records without executing ``convolution``."""

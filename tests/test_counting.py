@@ -184,6 +184,17 @@ def test_bad_parameters():
         series_term(3, 2, 16)
 
 
+def test_chi_series_refuses_an_oversized_term_before_the_first(monkeypatch):
+    """Every term of a series is sized before the first runs: k = 16 is
+    refused without computing k = 1..15."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a term was computed")
+
+    monkeypatch.setattr(counting, "series_term", refuse)
+    with pytest.raises(TooLarge, match=r"F_3\^16 needs about \d+ bytes"):
+        counting.chi_series(3, 2, k_max=16)
+
+
 def test_naive_refuses_a_buffer_over_the_byte_bound(monkeypatch):
     """On F_59 the budget 59^6 admits the naive count, but its 59^5-byte
     buffer exceeds TRANSFER_BYTE_BOUND; it is refused before any

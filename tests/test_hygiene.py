@@ -111,3 +111,43 @@ def _referenced_names():
 def test_every_function_is_referenced():
     used = _referenced_names()
     assert [d for d in _defined_functions() if d[1] not in used] == []
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_except_clause_names_assertion_error():
+    """An AssertionError is a lost invariant, a fault of the program: no
+    handler may swallow it."""
+    caught = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) \
+                    else [node.type]
+                caught += [(name, node.lineno) for t in types
+                           if getattr(t, "id", None) == "AssertionError"]
+    assert caught == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    """A ``_name`` belongs to its module: no other module of the package
+    reads it, by attribute of the module or by ``from ... import``."""
+    trees = _trees()
+    reads = []
+    for name, tree in trees.items():
+        others = set(trees) - {name}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _is_private(node.attr) \
+                    and getattr(node.value, "id", None) in others:
+                reads.append((name, f"{node.value.id}.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                reads += [(name, f"{node.module}.{alias.name}")
+                          for alias in node.names if _is_private(alias.name)]
+    assert reads == []

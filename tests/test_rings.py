@@ -5,9 +5,10 @@ from hypothesis import given, strategies as st
 
 from g2rigid import counting
 from g2rigid.errors import InvalidCharacteristic, TooLarge
-from g2rigid.rings import (MILLER_RABIN_BOUND, FiniteField, ext_field,
-                           is_irreducible, is_prime, poly_gcd, poly_mod,
-                           poly_mul, poly_trim, smallest_irreducible)
+from g2rigid.rings import (MILLER_RABIN_BOUND, TRIAL_DIVISION_BOUND,
+                           FiniteField, ext_field, is_irreducible, is_prime,
+                           poly_gcd, poly_mod, poly_mul, poly_trim,
+                           prime_factors, smallest_irreducible)
 
 
 def _trial_division_irreducible(f, p):
@@ -42,6 +43,32 @@ def _trial_division_prime(n):
 def test_is_prime_is_trial_division_below_10_5():
     assert [n for n in range(10 ** 5) if is_prime(n)] == \
         [n for n in range(10 ** 5) if _trial_division_prime(n)]
+
+
+def test_prime_factors_is_trial_division_below_2000():
+    for n in range(1, 2000):
+        assert prime_factors(-n) == prime_factors(n) == \
+            [p for p in range(2, n + 1) if n % p == 0
+             and _trial_division_prime(p)]
+
+
+@pytest.mark.parametrize("n, primes", [
+    (2 ** 61 - 1, [2 ** 61 - 1]),
+    (45 * (2 ** 61 - 1), [3, 5, 2 ** 61 - 1]),
+    (1048573 ** 2, [1048573]),  # the largest prime below the bound, squared
+    (8 * 1048583 ** 2, "composite with no prime factor up to 1048576"),
+    (1000000007 * 1000000009, "composite with no prime factor up to"),
+    ((2 ** 61 - 1) ** 2, "primality of .* is not decided"),
+])
+def test_prime_factors_past_the_trial_division_bound(n, primes):
+    """A cofactor with no factor up to the bound is one prime when it is
+    prime, and refused otherwise."""
+    assert TRIAL_DIVISION_BOUND == 1048576
+    if isinstance(primes, str):
+        with pytest.raises(TooLarge, match=primes):
+            prime_factors(n)
+    else:
+        assert prime_factors(n) == primes
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 17])

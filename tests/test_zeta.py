@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import g2rigid.zeta
 from g2rigid.counting import chi_series
 from g2rigid.errors import NotInBase
-from g2rigid.zeta import (MODULUS_REL_TOL, ChiSeries, local_type_prediction,
+from g2rigid.zeta import (MODULUS_REL_TOL, local_type_prediction,
                           min_recurrence, poly_roots, solve_complex,
                           zeta_analysis)
 
@@ -44,13 +44,12 @@ def test_min_recurrence_reconstructs_power_sums(counts, lams):
                                for i in range(len(rec)))
 
 
-def _series(terms, q=3, s=2):
-    return ChiSeries(q=q, s=s, variant="consecutive", terms=terms,
-                     cross_checked=[])
+def _analysis(terms, q=3, s=2):
+    return zeta_analysis(q, s, terms)
 
 
 def test_zeta_analysis_pure_weight6():
-    rep = zeta_analysis(_series(_power_sums([(27, 2), (9, 1)], 8)))
+    rep = _analysis(_power_sums([(27, 2), (9, 1)], 8))
     assert rep.model_length == 2
     assert not rep.underdetermined and not rep.inconsistent
     assert rep.weil_ok
@@ -61,14 +60,14 @@ def test_zeta_analysis_pure_weight6():
 
 
 def test_zeta_analysis_detects_weil_violation():
-    rep = zeta_analysis(_series(_power_sums([(28, 1)], 8)))
+    rep = _analysis(_power_sums([(28, 1)], 8))
     assert not rep.weil_ok and not rep.underdetermined
 
 
 def test_zeta_analysis_underdetermined_flag():
     # five distinct eigenvalues but only seven terms: 2L > len(terms)
     spectrum = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1)]
-    rep = zeta_analysis(_series(_power_sums(spectrum, 7)))
+    rep = _analysis(_power_sums(spectrum, 7))
     # seven terms cannot determine a length-5 model; the fit comes out
     # shorter and is flagged
     assert rep.model_length >= 4
@@ -79,7 +78,7 @@ def test_real_series_analysis():
     series = chi_series(3, 2, k_max=7)
     assert series.terms == [-1, 277, -2521, -334283, -28103281,
                             1524488437, 480968375]
-    rep = zeta_analysis(series)
+    rep = zeta_analysis(series.q, series.s, series.terms)
     assert not rep.inconsistent
     # at k_max = 7 the exact fit is shorter than the true model and is
     # flagged as underdetermined; the raw growth stays inside weight 6
@@ -166,7 +165,7 @@ def test_zeta_analysis_recovers_a_known_spectrum(spectrum, data):
              + sum(2 * c * _gauss_pow(a, b, k)[0]
                    for (a, b), c in pair_counts.items())
              for k in range(1, 2 * length + 3)]
-    rep = zeta_analysis(_series(terms, q=5))
+    rep = _analysis(terms, q=5)
     assert rep.model_length == length
     assert not rep.underdetermined and not rep.inconsistent
     found = [z for _, _, z in rep.eigenvalues]
@@ -181,7 +180,7 @@ def test_constant_term_zero_recurrence_has_exact_zero_root():
     # 1, 1, 2, 4, 8, ...: t_n = 2 t_(n-1) only from n = 3 on
     terms = [1] + [2 ** k for k in range(7)]
     assert min_recurrence(terms) == [2, 0]
-    rep = zeta_analysis(_series(terms))
+    rep = _analysis(terms)
     assert [z for _, _, z in rep.eigenvalues] == [2, 0]
     assert repr(rep.eigenvalues[1][2]) == "0j"
     # the Vandermonde system has a zero column: every count reads 0
