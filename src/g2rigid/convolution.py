@@ -178,7 +178,7 @@ def is_g2_profile(profile) -> bool:
 
 
 def matches_g2_profile(t: RigidTuple) -> bool:
-    """Rank 7; involution at 0; unipotent [3,2,2] at 1; unipotent [7] at inf."""
+    """Rank 7; involution at 0; unipotent [3,2,2] at 1; [7] at inf."""
     return is_g2_profile(local_profile(t))
 
 
@@ -298,7 +298,8 @@ class Recipe:
     def from_lines(cls, lines):
         lines = [ln.strip() for ln in lines if ln.strip()]
         if not lines or not lines[0].startswith("seed "):
-            raise RecipeFormatError("recipe must start with a 'seed c1 c2' line")
+            raise RecipeFormatError(
+                "recipe must start with a 'seed c1 c2' line")
         parts = lines[0].split()
         if len(parts) != 3:
             raise RecipeFormatError(f"bad seed line: {lines[0]!r}")

@@ -192,7 +192,7 @@ def check_term(q, s, k, naive_budget=DEFAULT_SERIES_NAIVE_BUDGET):
     _check_s(s % q)
     transfer_workers(q, k, 1)
     if q ** (6 * k) <= naive_budget:
-        _check_bytes("naive count", q, k, q ** (5 * k))
+        _check_bytes("naive count", q, k, naive_bytes(q ** k))
 
 
 def _check_s(s):
@@ -220,6 +220,12 @@ def _factor_table(field_, factor, chi):
     return np.array(values, dtype=np.int8).reshape(shape)
 
 
+def naive_bytes(n):
+    """The bytes of the naive count's two int8 arrays over an n-element
+    field: the fixed product over x3..x6 and the block buffer, n^4 each."""
+    return 2 * n ** 4
+
+
 def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
                 trivial_character=False):
     """Full enumeration over the 6-dimensional affine space.
@@ -234,34 +240,48 @@ def count_naive(field_, s, budget=DEFAULT_NAIVE_BUDGET, variant="consecutive",
     chi is multiplicative, so chi(f_s(x)) = chi(s) * prod chi(factor(x)).
     Each factor reads at most two coordinates; its chi table over them
     comes from ``LinearFactor.value`` and quad_char, independently of the
-    transfer path.  For each x1 the int8 product of the tables is formed
-    by broadcasting at every point of the remaining five axes and summed;
-    the products at full size are taken in place in one n^5-byte buffer.
+    transfer path.  The space is enumerated in blocks, one per (x1, x2):
+    the tables that read only x1 and x2 give one integer per block, and a
+    block where it is 0 is skipped; those that read only x3..x6 are
+    multiplied once, with chi(s), into a fixed n^4 product; those that
+    read both give one small row per block.  In each block the product is
+    formed at every point of x3..x6 in one n^4 buffer, and its nonzero
+    entries and its sum are counted there, so the count holds
+    naive_bytes(n) = 2 n^4 bytes of int8 arrays.
     """
     n = field_.size
     if n ** 6 > budget:
         raise TooLarge(f"{n}^6 points exceed the budget {budget}")
-    _check_bytes("naive count", field_.char, field_.k, n ** 5)
+    _check_bytes("naive count", field_.char, field_.k, naive_bytes(n))
     factors = fiber_factors(s, ring=field_, variant=variant)
     chi = [int(u != 0) if trivial_character
            else quad_char(field_, u) for u in field_.elements()]
-    tables = [_factor_table(field_, f, chi) for f in factors.factors]
-    # tables reading x2 come last: only they are multiplied at full size
-    tables.sort(key=lambda t: t.shape[1:])
-    sign = np.int8(chi[s])
-    full = (n,) * 5
-    buffer = np.empty(full, dtype=np.int8)
+    weight = np.ones((n, n), dtype=np.int8)  # one sign per (x1, x2)
+    fixed = np.full((n,) * 4, chi[s], dtype=np.int8)  # over x3..x6
+    mixed = []
+    for f in factors.factors:
+        t = _factor_table(field_, f, chi)
+        if t.shape[2:] == (1,) * 4:
+            weight *= t[:, :, 0, 0, 0, 0]
+        elif t.shape[:2] == (1, 1):
+            fixed *= t[0, 0]
+        else:
+            mixed.append(t)
+    buffer = np.empty_like(fixed)
+    negative = buffer.view(np.bool_)
     n_nonzero = t_chi = 0
-    for x1 in range(n):
-        prod = sign
-        for t in tables:
-            row = t[x1 if t.shape[0] == n else 0]
-            if np.broadcast_shapes(np.shape(prod), row.shape) == full:
-                prod = np.multiply(prod, row, out=buffer)
-            else:
-                prod = prod * row
-        n_nonzero += int(np.count_nonzero(prod))
-        t_chi += int(prod.sum(dtype=np.int64))
+    for x1, x2 in zip(*np.nonzero(weight)):
+        row = weight[x1, x2]
+        for t in mixed:
+            row = row * t[x1 if t.shape[0] == n else 0,
+                          x2 if t.shape[1] == n else 0]
+        np.multiply(fixed, row, out=buffer)
+        nonzero = int(np.count_nonzero(buffer))
+        # the product lies in {-1, 0, 1}: its sum is the nonzero count
+        # less twice the count of -1, marked in place over the buffer
+        np.less(buffer, 0, out=negative)
+        n_nonzero += nonzero
+        t_chi += nonzero - 2 * int(np.count_nonzero(negative))
     return n_nonzero, t_chi
 
 
@@ -339,7 +359,8 @@ def count_transfer(field_, s, variant="consecutive",
     The residues are independent: with two primes or more, on a field of
     at least _POOL_MIN_SIZE elements, they run on a pool of up to
     ``workers`` threads, as many as ``transfer_workers`` admits (TooLarge
-    if one does not fit), and are combined in prime order.  Agrees with count_naive wherever both run.
+    if one does not fit), and are combined in prime order.  Agrees with
+    count_naive wherever both run.
     """
     _check_s(s)
     if variant not in ("consecutive", "cyclic"):

@@ -23,6 +23,7 @@ from .modlinalg import (annihilator, enveloping_dim, extend_basis,
 from .rings import is_prime
 
 ORDER_BOUND = 100000  # materialize refuses a larger group
+SL2_BYTE_BOUND = 2 ** 29  # sym_power_rep refuses a larger modelled peak
 
 
 class FiniteMatrixGroup:
@@ -187,13 +188,35 @@ def _sym_power_matrix(a, b, c, d, m, p):
     return out
 
 
+def sl2_bytes(m):
+    """The modelled peak RSS of the adjoint decomposition of Sym^m: 32 MB
+    for the interpreter and numpy, and 96 (m + 1)^4, the bytes of twelve
+    dense (m + 1)^2 x (m + 1)^2 int64 operators on the adjoint module
+    (the measured growth is that of about 10.6).
+
+    Fitted to the peak RSS (ru_maxrss) of fresh ``adjoint_decomposition(
+    sym_power_rep(ell, m))`` processes on a 2-CPU machine, as (ell, m,
+    MiB): (17, 6, 28.3), (23, 10, 29.2), (31, 14, 32.7), (43, 20, 43.8),
+    (53, 24, 59.1); the model lies 2.4-7.2 MiB above each.  So m <= 46
+    runs and m >= 47 is refused.
+    """
+    return 32 * 10 ** 6 + 96 * (m + 1) ** 4
+
+
 def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
+    """Sym^m of the standard representation of SL2(F_ell), for ell > 2m + 1;
+    TooLarge, before any matrix is built, if ``sl2_bytes(m)`` exceeds
+    SL2_BYTE_BOUND."""
     if m < 0:
         raise NegativePower(f"need a power m >= 0, got {m}")
     if not is_prime(ell) or ell == 2:
         raise BadCharacteristic(f"need an odd prime, got {ell}")
     if ell <= 2 * m + 1:
         raise TooSmallPrime(f"need ell > {2 * m + 1}, got {ell}")
+    need = sl2_bytes(m)
+    if need > SL2_BYTE_BOUND:
+        raise TooLarge(f"the adjoint module of Sym^{m} needs about {need} "
+                       f"bytes, over the bound {SL2_BYTE_BOUND}")
     upper = _sym_power_matrix(1, 1, 0, 1, m, ell)
     lower = _sym_power_matrix(1, 0, 1, 1, m, ell)
     return Sl2SymRep(p=ell, generators=mod_array([upper, lower], ell), m=m)
@@ -211,7 +234,8 @@ def adjoint_action(g, p):
 
 
 def _log_unipotent(U, p):
-    """log of a unipotent matrix via the truncated series (char > nilpotency)."""
+    """log of a unipotent matrix via the truncated series
+    (char > nilpotency)."""
     eye = np.eye(U.shape[0], dtype=np.int64)
     N = (U - eye) % p
     acc = np.zeros_like(U)
@@ -309,7 +333,7 @@ _WORD_TRIES = 12
 
 
 def _word_elements(mats, p):
-    """Deterministic sequence of algebra elements built from generator words."""
+    """Deterministic sequence of algebra elements from generator words."""
     n = mats[0].shape[0]
     state = 1
     for _ in range(_WORD_TRIES):

@@ -120,7 +120,8 @@ class Matrix:
         """Ranks of (self - eigenvalue)^j for j = 1, 2, ... (endless)."""
         ev = Fraction(eigenvalue)
         # the integer matrix ev.den * den * (self - ev) has the same ranks
-        shift = Matrix([[ev.denominator * x - ev.numerator * self.den * (i == j)
+        shift = Matrix([[ev.denominator * x
+                         - ev.numerator * self.den * (i == j)
                          for j, x in enumerate(row)]
                         for i, row in enumerate(self.num)])
         power = shift

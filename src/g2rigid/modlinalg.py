@@ -18,8 +18,8 @@ numpy is loaded here, on first use, for the whole package: ``np`` below
 stands in for the module, and the layers that compute on arrays
 (``counting``, ``finitegroups``, ``g2forms``) import it from here.  A
 command served from the cache computes on no array, so it does not pay
-the import of numpy, about 135 ms on a 2-CPU machine.  The deferral goes through
-the ``import`` statement, which holds the per-module import lock, so
+the import of numpy, about 135 ms on a 2-CPU machine.  The deferral goes
+through the ``import`` statement, which holds the per-module import lock, so
 threads that first touch numpy together wait for one complete import;
 ``importlib.util.LazyLoader`` gives no such guarantee.  ``count`` first
 touches numpy on the main thread, where it builds a term's character
@@ -140,7 +140,7 @@ def annihilator(rows, p):
 
 
 def inv_mod(a, p):
-    """Inverse of a square matrix mod p (raises ZeroDivisionError if singular)."""
+    """Inverse of a square matrix mod p; ZeroDivisionError if singular."""
     a = mod_array(a, p)
     n = a.shape[0]
     aug = np.concatenate([a, np.eye(n, dtype=np.int64)], axis=1)

@@ -190,8 +190,9 @@ def test_failed_count_lists_every_term_key(capsys, cache_dir):
 @pytest.mark.parametrize("argv, error", [
     (["--q", "3", "--s", "2", "--kmax", "16"],
      r"TooLarge: the transfer over F_3\^16 needs about \d+ bytes"),
-    (["--q", "59", "--s", "2", "--kmax", "1", "--budget", str(59 ** 6)],
-     rf"TooLarge: the naive count over F_59\^1 needs about {59 ** 5} bytes"),
+    (["--q", "131", "--s", "2", "--kmax", "1", "--budget", str(131 ** 6)],
+     rf"TooLarge: the naive count over F_131\^1 needs about "
+     rf"{2 * 131 ** 4} bytes"),
     (["--q", "3", "--s", "3", "--kmax", "16"], r"NotInBase: "),
     (["--q", "9", "--s", "2", "--kmax", "16"], r"InvalidCharacteristic: "),
 ], ids=["transfer", "naive", "bad-s", "bad-q"])
@@ -640,6 +641,26 @@ def test_vacuous_counting_arguments_are_usage_errors(capsys, cache_dir, argv):
 def test_negative_sl2_power_is_a_usage_error(capsys, cache_dir, power):
     argv = ["sl2", "--ell", "17", "--power", power, "--cache-dir", cache_dir]
     assert _usage_error(capsys, argv) == 2
+
+
+def test_sl2_refuses_an_oversized_power_before_any_matrix(
+        capsys, cache_dir, monkeypatch):
+    """Sym^100's adjoint operators would need several GB: the power is
+    refused with a TooLarge report before any matrix is built."""
+    from g2rigid import finitegroups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(finitegroups, "_sym_power_matrix", refuse)
+    code, doc, _ = _run(capsys, ["sl2", "--ell", "211", "--power", "100",
+                                 "--cache-dir", cache_dir])
+    assert code == 1 and doc["passed"] is False
+    assert re.match(r"TooLarge: the adjoint module of Sym\^100 needs about "
+                    rf"{finitegroups.sl2_bytes(100)} bytes",
+                    doc["outputs"]["error"])
+    assert finitegroups.sl2_bytes(46) <= finitegroups.SL2_BYTE_BOUND \
+        < finitegroups.sl2_bytes(47)
 
 
 def test_sl2_power_zero_is_the_trivial_module(capsys, cache_dir):

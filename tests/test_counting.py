@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,19 +197,20 @@ def test_chi_series_refuses_an_oversized_term_before_the_first(monkeypatch):
 
 
 def test_naive_refuses_a_buffer_over_the_byte_bound(monkeypatch):
-    """On F_59 the budget 59^6 admits the naive count, but its 59^5-byte
-    buffer exceeds TRANSFER_BYTE_BOUND; it is refused before any
-    character table is built.  F_55 is the largest field that fits."""
+    """On F_131 the budget 131^6 admits the naive count, but its two
+    131^4-byte arrays exceed TRANSFER_BYTE_BOUND; it is refused before any
+    character table is built.  F_127 is the largest prime field that fits.
+    """
     def refuse(*args, **kwargs):
         raise AssertionError("a table was built")
 
     monkeypatch.setattr(counting, "_factor_table", refuse)
     monkeypatch.setattr(counting, "fiber_factors", refuse)
-    F59 = ext_field(59, 1)
-    with pytest.raises(TooLarge, match=rf"F_59\^1 needs about {59 ** 5} "
-                                       r"bytes"):
-        count_naive(F59, F59.from_int(2), budget=59 ** 6)
-    assert 56 ** 5 > counting.TRANSFER_BYTE_BOUND >= 55 ** 5
+    F131 = ext_field(131, 1)
+    with pytest.raises(TooLarge, match=rf"F_131\^1 needs about "
+                                       rf"{2 * 131 ** 4} bytes"):
+        count_naive(F131, F131.from_int(2), budget=131 ** 6)
+    assert 2 * 131 ** 4 > counting.TRANSFER_BYTE_BOUND >= 2 * 127 ** 4
 
 
 def test_fiber_factor_count_and_degree():
@@ -238,6 +240,25 @@ PINNED_NAIVE = [
 def test_naive_f27_pinned():
     F27 = ext_field(3, 3)
     assert count_naive(F27, F27.from_int(2)) == (236269301, -2521)
+
+
+# (N_nonzero, T_chi) frozen from the enumeration over one n^5 array
+@pytest.mark.parametrize("q, k, want", [
+    (3, 3, (236269301, -2521)),
+    (5, 2, (142953189, -5051)),
+], ids=["F27", "F25"])
+def test_naive_memory_is_below_three_n4_bytes(q, k, want):
+    """The naive count enumerates in (x1, x2) blocks: its traced peak stays
+    below 3 n^4 bytes, where one array over x2..x6 would need n^5."""
+    field_ = ext_field(q, k)
+    tracemalloc.start()
+    try:
+        got = count_naive(field_, field_.from_int(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 3 * field_.size ** 4
 
 
 def test_naive_is_independent_of_the_transfer(monkeypatch):

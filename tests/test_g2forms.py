@@ -125,7 +125,8 @@ def _rank_mod(rows, p):
         for i in range(len(rows)):
             if i != rank and rows[i][c]:
                 f = rows[i][c] * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+                rows[i] = [(x - f * y) % p
+                           for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 

@@ -151,3 +151,13 @@ def test_no_module_reads_a_private_name_of_another():
                 reads += [(name, f"{node.module}.{alias.name}")
                           for alias in node.names if _is_private(alias.name)]
     assert reads == []
+
+
+def test_no_line_exceeds_79_characters():
+    long = [f"{path.relative_to(ROOT)}:{number}"
+            for path in sorted(SRC.glob("*.py"))
+            + sorted((ROOT / "tests").glob("*.py"))
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > 79]
+    assert long == []

@@ -162,5 +162,6 @@ def test_span_closure_and_annihilator():
     sub = span_closure(np.eye(5, dtype=np.int64)[3:4],
                        lambda f: (f @ nil.T) % p, p)
     assert sub.tolist() == np.eye(5, dtype=np.int64)[3:].tolist()
-    assert annihilator(sub, p).tolist() == np.eye(5, dtype=np.int64)[:3].tolist()
+    assert annihilator(sub, p).tolist() \
+        == np.eye(5, dtype=np.int64)[:3].tolist()
     assert annihilator(np.eye(5, dtype=np.int64), p).shape == (0, 5)
