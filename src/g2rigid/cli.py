@@ -402,11 +402,10 @@ def _emit(envelope, fmt, out):
         validate(envelope, schema)
         out.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     else:
-        rows = []
+        import csv
+        rows = [("key", "value")]
         _flatten("", envelope["outputs"], rows)
-        out.write("key,value\n")
-        for k, v in rows:
-            out.write(f"{k},{v}\n")
+        csv.writer(out, lineterminator="\n").writerows(rows)
 
 
 def _config_json(args):

@@ -13,6 +13,7 @@ Generators, group elements and modules are int64 arrays mod p
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import (BadCharacteristic, BadResidue, NegativePower,
                      NotOrdinary, TooLarge, TooSmallPrime)
@@ -107,59 +108,23 @@ def conjugacy_classes(group: FiniteMatrixGroup):
 # ---------------------------------------------------------------------------
 # the order-56 monomial group
 
-_F8_MODULUS = 0b1011  # z^3 + z + 1, primitive over F_2
-
-
-def _f8_mul(a: int, b: int) -> int:
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & 0b1000:
-            a ^= _F8_MODULUS
-    return acc
-
-
-def _f8_trace(a: int) -> int:
-    t = a ^ _f8_mul(a, a) ^ _f8_mul(_f8_mul(a, a), _f8_mul(a, a))
-    # the trace lands in {0, 1}
-    return t & 1
-
-
-def _f8_inv(a: int) -> int:
-    for b in range(1, 8):
-        if _f8_mul(a, b) == 1:
-            return b
-    raise ZeroDivisionError("inverse of 0 in the field of eight elements")
-
-
 def build_h56(ellprime: int) -> FiniteMatrixGroup:
     """The order-56 monomial group in GL_7(F_ellprime).
 
-    Basis indexed by the seven nontrivial additive characters of the field
-    with eight elements; the additive part acts diagonally by character
-    values (signs), the multiplicative part permutes the basis cyclically.
+    Basis e_i = psi_(z^i), i = 0..6, the nontrivial additive characters
+    psi_t(u) = (-1)^tr(t u) of the field with eight elements, z^3 = z + 1.
+    Translation by 1 is the diagonal of signs (-1)^tr(z^i); the traces
+    follow the modulus, tr(z^(i+3)) = tr(z^(i+1)) + tr(z^i), from
+    tr(1) = 1 and tr(z) = tr(z^2) = 0.  Multiplication by z, which
+    generates the multiplicative group, is the cyclic shift e_i -> e_(i-1).
     """
     if not is_prime(ellprime) or ellprime % 7 != 1:
         raise BadResidue(f"{ellprime} is not a prime congruent to 1 mod 7")
-    if 56 % ellprime == 0:
-        raise BadCharacteristic(f"{ellprime} divides the group order 56")
-    gen = 2  # the class of z generates the multiplicative group
-    labels = []
-    t = 1
-    for _ in range(7):
-        labels.append(t)
-        t = _f8_mul(t, gen)
-    pos = {t: i for i, t in enumerate(labels)}
-    # translation by u = 1: diagonal of character values psi_t(1) = (-1)^tr(t)
-    diag = np.diag([-1 if _f8_trace(t) else 1 for t in labels])
-    # multiplication by gen: e_t -> e_{t * gen^-1}
-    gi = _f8_inv(gen)
-    perm = np.zeros((7, 7), dtype=np.int64)
-    for i, t in enumerate(labels):
-        perm[pos[_f8_mul(t, gi)], i] = 1
+    traces = [1, 0, 0]
+    for i in range(4):
+        traces.append(traces[i + 1] ^ traces[i])
+    diag = np.diag([(-1) ** t for t in traces])
+    perm = np.roll(np.eye(7, dtype=np.int64), -1, axis=0)
     return FiniteMatrixGroup(ellprime, [diag, perm])
 
 
@@ -174,18 +139,6 @@ class Sl2SymRep:
     p: int
     generators: np.ndarray
     m: int
-
-
-def _sym_power_matrix(a, b, c, d, m, p):
-    """Action of [[a,b],[c,d]] on the basis x^(m-i) y^i, columns = images."""
-    out = np.zeros((m + 1, m + 1), dtype=np.int64)
-    for i in range(m + 1):
-        # (a x + c y)^(m-i) (b x + d y)^i, coefficients by degree in y
-        poly = np.ones(1, dtype=np.int64)
-        for u, v in [(a, c)] * (m - i) + [(b, d)] * i:
-            poly = np.convolve(poly, [u, v]) % p
-        out[:, i] = poly
-    return out
 
 
 def sl2_bytes(m):
@@ -206,7 +159,12 @@ def sl2_bytes(m):
 def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
     """Sym^m of the standard representation of SL2(F_ell), for ell > 2m + 1;
     TooLarge, before any matrix is built, if ``sl2_bytes(m)`` exceeds
-    SL2_BYTE_BOUND."""
+    SL2_BYTE_BOUND.
+
+    On the basis x^(m-i) y^i the generators are the substitutions
+    y -> x + y and x -> x + y: upper[j, i] = comb(i, j), the coefficients
+    of x^(m-i) (x + y)^i, and lower is upper flipped on both axes.
+    """
     if m < 0:
         raise NegativePower(f"need a power m >= 0, got {m}")
     if not is_prime(ell) or ell == 2:
@@ -217,8 +175,8 @@ def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
     if need > SL2_BYTE_BOUND:
         raise TooLarge(f"the adjoint module of Sym^{m} needs about {need} "
                        f"bytes, over the bound {SL2_BYTE_BOUND}")
-    upper = _sym_power_matrix(1, 1, 0, 1, m, ell)
-    lower = _sym_power_matrix(1, 0, 1, 1, m, ell)
+    upper = [[comb(i, j) for i in range(m + 1)] for j in range(m + 1)]
+    lower = np.flip(upper)
     return Sl2SymRep(p=ell, generators=mod_array([upper, lower], ell), m=m)
 
 
@@ -233,37 +191,20 @@ def adjoint_action(g, p):
     return np.kron(g, inv_mod(g, p).T) % p
 
 
-def _log_unipotent(U, p):
-    """log of a unipotent matrix via the truncated series
-    (char > nilpotency)."""
-    eye = np.eye(U.shape[0], dtype=np.int64)
-    N = (U - eye) % p
-    acc = np.zeros_like(U)
-    power = eye
-    k = 1
-    while True:
-        power = matmul_mod(power, N, p)
-        if not power.any():
-            break
-        if k >= p:
-            raise NotOrdinary("unipotent log undefined: nilpotency >= char")
-        coeff = (-1 if k % 2 == 0 else 1) * pow(k, p - 2, p) % p
-        acc = (acc + coeff * power) % p
-        k += 1
-    return acc
+def _casimir_on_adjoint(m, p):
+    """EF + FE + H^2/2 on the conjugation module of Sym^m.
 
-
-def _casimir_on_adjoint(gens, p):
-    """EF + FE + H^2/2 built from logs of the two unipotent generators.
-
-    Ad(exp L) = exp(ad L), so the log of a generator's adjoint action is
-    ad(log g) = kron(L, I) - kron(I, L^T) on row-flattened matrices.  On
-    Sym^m, ad L is nilpotent of order 2m + 1, so this holds mod p for
-    p > 2m, which ``sym_power_rep`` requires.
+    The generators of ``sym_power_rep`` are exp(e) and exp(f) for
+    e = x d/dy, e[i - 1, i] = i, and f = y d/dx, f[i + 1, i] = m - i, on
+    the basis x^(m-i) y^i.  Ad(exp L) = exp(ad L), and ad L is
+    kron(L, I) - kron(I, L^T) on row-flattened matrices; ad L is
+    nilpotent of order 2m + 1, so this holds mod p for p > 2m, which
+    ``sym_power_rep`` requires.
     """
-    eye = np.eye(gens.shape[1], dtype=np.int64)
-    E, Fo = ((np.kron(L, eye) - np.kron(eye, L.T)) % p
-             for L in (_log_unipotent(g, p) for g in gens))
+    e = np.diag(np.arange(1, m + 1, dtype=np.int64), 1)
+    f = np.diag(np.arange(m, 0, -1, dtype=np.int64), -1)
+    eye = np.eye(m + 1, dtype=np.int64)
+    E, Fo = ((np.kron(L, eye) - np.kron(eye, L.T)) % p for L in (e, f))
     EF = matmul_mod(E, Fo, p)
     FE = matmul_mod(Fo, E, p)
     H = (EF - FE) % p
@@ -404,8 +345,8 @@ def adjoint_decomposition(rep, classes=None) -> DecompositionReport:
     """Direct-sum decomposition of the conjugation action on n x n matrices.
 
     The module is split along eigenspaces of explicit equivariant
-    operators (class sums in the ordinary case; a Casimir operator built
-    from generator logs for the symmetric-power SL2 case), and each piece
+    operators (class sums in the ordinary case; the Casimir operator of
+    e and f for the symmetric-power SL2 case), and each piece
     is certified by composition splitting, with Norton's test (or, failing
     that, the full-matrix-algebra criterion) for the irreducible leaves.
 
@@ -414,7 +355,7 @@ def adjoint_decomposition(rep, classes=None) -> DecompositionReport:
     """
     if isinstance(rep, Sl2SymRep):
         p, gens = rep.p, rep.generators
-        ops = [_casimir_on_adjoint(gens, p)]
+        ops = [_casimir_on_adjoint(rep.m, p)]
     elif isinstance(rep, FiniteMatrixGroup):
         p, gens, elements = rep.p, rep.generators, rep.materialize()
         if len(elements) % p == 0:

@@ -113,26 +113,20 @@ def poly_mul(a, b, p):
     return poly_trim(out)
 
 
-def poly_divmod(a, b, p):
-    """Monic-leading division of a by b over F_p."""
-    a = list(a)
+def poly_mod(a, b, p):
+    """Remainder of a on division by b over F_p."""
+    a = list(poly_trim(a))
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(poly_trim(a)) >= len(b):
-        a = list(poly_trim(a))
+    while len(a) >= len(b):
         shift = len(a) - len(b)
         coef = (a[-1] * inv_lead) % p
-        q[shift] = coef
         for i, bi in enumerate(b):
             a[shift + i] = (a[shift + i] - coef * bi) % p
-    return poly_trim(q), poly_trim(a)
-
-
-def poly_mod(a, b, p):
-    return poly_divmod(a, b, p)[1]
+        a = list(poly_trim(a))
+    return tuple(a)
 
 
 def poly_gcd(a, b, p):

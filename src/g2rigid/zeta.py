@@ -44,21 +44,18 @@ def min_recurrence(terms):
             d += c[i] * s[n - i]
         if d == 0:
             m += 1
-        elif 2 * l <= n:
-            t = list(c)
-            coef = d / bb
-            c = c + [Fraction(0)] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] -= coef * bi
+            continue
+        t = list(c)
+        coef = d / bb
+        c = c + [Fraction(0)] * (len(b) + m - len(c))
+        for i, bi in enumerate(b):
+            c[i + m] -= coef * bi
+        if 2 * l <= n:
             l = n + 1 - l
             b = t
             bb = d
             m = 1
         else:
-            coef = d / bb
-            c = c + [Fraction(0)] * (len(b) + m - len(c))
-            for i, bi in enumerate(b):
-                c[i + m] -= coef * bi
             m += 1
     return [-x for x in c[1:l + 1]]
 

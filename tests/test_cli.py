@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -237,6 +239,19 @@ def test_csv_output(capsys, cache_dir):
     assert lines[0] == "key,value"
     assert "terms.0,-1" in lines
     assert "terms.1,277" in lines
+
+
+def test_csv_quotes_a_value_that_holds_a_comma(capsys, cache_dir):
+    """A refused count's message holds a comma; the csv report still reads
+    as two fields a row, the second the json report's exact message."""
+    argv = ["count", "--q", "3", "--s", "2", "--kmax", "16",
+            "--cache-dir", cache_dir]
+    code, doc, _ = _run(capsys, argv)
+    message = doc["outputs"]["error"]
+    assert code == 1 and ", over the bound" in message
+    assert main(argv + ["--format", "csv"]) == 1
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [["key", "value"], ["error", message]]
 
 
 def test_zeta_command_passes(capsys, cache_dir):
@@ -652,7 +667,7 @@ def test_sl2_refuses_an_oversized_power_before_any_matrix(
     def refuse(*args, **kwargs):
         raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(finitegroups, "_sym_power_matrix", refuse)
+    monkeypatch.setattr(finitegroups, "comb", refuse)
     code, doc, _ = _run(capsys, ["sl2", "--ell", "211", "--power", "100",
                                  "--cache-dir", cache_dir])
     assert code == 1 and doc["passed"] is False

@@ -184,15 +184,63 @@ def _log_series(U, p):
 
 @pytest.mark.parametrize("ell,m", [(17, 6), (23, 10), (11, 2), (17, 0)])
 def test_casimir_equals_the_adjoint_series_construction(ell, m):
-    """The Casimir from the (m + 1) x (m + 1) logs equals EF + FE + H^2/2
-    with E and F the log series of the full adjoint actions."""
+    """The Casimir from the closed forms of e and f equals EF + FE + H^2/2
+    with E and F the log series of the generators' full adjoint actions."""
     rep = sym_power_rep(ell, m)
     E, F = (_log_series(adjoint_action(g, ell), ell) for g in rep.generators)
     EF, FE = matmul_mod(E, F, ell), matmul_mod(F, E, ell)
     H = (EF - FE) % ell
     want = (EF + FE + pow(2, -1, ell) * matmul_mod(H, H, ell)) % ell
-    assert np.array_equal(
-        finitegroups._casimir_on_adjoint(rep.generators, ell), want)
+    assert np.array_equal(finitegroups._casimir_on_adjoint(m, ell), want)
+
+
+def _f8_mul(a, b):
+    """Product in F_8 = F_2[z] / (z^3 + z + 1), elements as 3-bit codes."""
+    acc = 0
+    for k in range(3):
+        if b >> k & 1:
+            acc ^= a << k
+    for k in (4, 3):
+        if acc >> k & 1:
+            acc ^= 0b1011 << (k - 3)
+    return acc
+
+
+@pytest.mark.parametrize("ellprime", [29, 43])
+def test_h56_generators_are_the_f8_definition(ellprime):
+    """On e_i = psi_(z^i), translation by 1 is the diagonal of the signs
+    (-1)^tr(z^i), tr(t) = t + t^2 + t^4, and multiplication by z sends
+    e_(z^i) to e_(z^(i-1))."""
+    powers = [1]
+    for _ in range(6):
+        powers.append(_f8_mul(powers[-1], 0b010))
+    assert sorted(powers) == list(range(1, 8))
+    z_inv = next(b for b in range(1, 8) if _f8_mul(0b010, b) == 1)
+    diag, perm = build_h56(ellprime).generators
+    for i, t in enumerate(powers):
+        square = _f8_mul(t, t)
+        trace = t ^ square ^ _f8_mul(square, square)
+        assert trace in (0, 1)
+        assert diag[i, i] == (-1) ** trace % ellprime
+        image = np.zeros(7, dtype=np.int64)
+        image[powers.index(_f8_mul(t, z_inv))] = 1
+        assert np.array_equal(perm[:, i], image)
+    assert np.array_equal(diag, np.diag(np.diag(diag)))
+
+
+@pytest.mark.parametrize("ell,m", [(17, 6), (31, 14), (5, 1), (3, 0)])
+def test_sym_power_generators_substitute_binary_forms(ell, m):
+    """Column i of the generators holds the coefficients, by degree in y,
+    of x^(m-i) (x + y)^i and of (x + y)^(m-i) y^i."""
+    x, y, x_plus_y = [1, 0], [0, 1], [1, 1]
+    upper, lower = sym_power_rep(ell, m).generators
+    for i in range(m + 1):
+        for gen, factors in ((upper, [x] * (m - i) + [x_plus_y] * i),
+                             (lower, [x_plus_y] * (m - i) + [y] * i)):
+            poly = np.ones(1, dtype=np.int64)
+            for factor in factors:
+                poly = np.convolve(poly, factor)
+            assert np.array_equal(gen[:, i], poly % ell)
 
 
 def test_sl2_rejects_small_characteristic():

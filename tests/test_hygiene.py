@@ -113,6 +113,36 @@ def test_every_function_is_referenced():
     assert [d for d in _defined_functions() if d[1] not in used] == []
 
 
+def _bound_names(statements):
+    """Names a module-level assignment binds, also under a module-level
+    ``if``, ``try``, ``for``, ``while`` or ``with``."""
+    for node in statements:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+        if not isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            for body in ("body", "orelse", "finalbody", "handlers"):
+                yield from _bound_names(getattr(node, body, []))
+
+
+def test_every_module_level_name_is_read():
+    """A constant no module, test or bench script reads is left over."""
+    read = set()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(getattr(node, "ctx", None), ast.Load):
+                    read.add(getattr(node, "id", getattr(node, "attr", None)))
+    bound = {(path.name, name) for path in SRC.glob("*.py")
+             for name in _bound_names(
+                 ast.parse(path.read_text(encoding="utf-8")).body)
+             if not (name.startswith("__") and name.endswith("__"))}
+    assert sorted(b for b in bound if b[1] not in read) == []
+
+
 def _trees():
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
             for path in sorted(SRC.glob("*.py"))}
