@@ -195,29 +195,40 @@ def cmd_sl2(args, cache):
 
 
 def _series(args, cache):
-    """The series record ``count`` reports and ``zeta`` nests.  Every
-    term's record is looked up first, so a report lists every term's key;
-    the missing terms run through ``counting.series_terms``, which sizes
-    them all before the first runs.  A warm series executes no
-    ``counting``."""
+    """The series record ``count`` reports and ``zeta`` nests.  The term
+    records, keyed by s mod q, are read in k order; at the first miss,
+    ``counting.check_terms`` sizes that term and every later one before
+    any further record is read, so a refusal costs no more than the
+    terms below it, and the report lists the keys read up to it.  An
+    admitted series reads every term's record once and computes the
+    missing terms through ``counting.series_terms``.  A warm series
+    executes no ``counting``."""
     budget = args.budget or DEFAULT_SERIES_NAIVE_BUDGET
+    # a q of 0, refused at the first miss, keys its terms by s as given
+    s = args.s % args.q if args.q else args.s
 
     def payload(k):
-        return {"kind": "series-term", "q": args.q, "s": args.s, "k": k,
+        return {"kind": "series-term", "q": args.q, "s": s, "k": k,
                 "variant": args.variant, "naive_budget": budget, "v": 1}
 
-    recs = {k: cache.fetch(payload(k)) for k in range(1, args.kmax + 1)}
-    missing = [k for k, rec in recs.items() if rec is None]
+    recs, missing = {}, []
+    for k in range(1, args.kmax + 1):
+        recs[k] = cache.fetch(payload(k))
+        if recs[k] is None:
+            if not missing:  # size this term and every later one first
+                counting.check_terms(args.q, s, range(k, args.kmax + 1),
+                                     budget)
+            missing.append(k)
     if missing:
         for k, t, crossed in counting.series_terms(
-                args.q, args.s, missing, variant=args.variant,
+                args.q, s, missing, variant=args.variant,
                 naive_budget=budget,
                 workers=args.workers or 4):  # counting caps them at the CPUs
             recs[k] = {"t": str(t), "cross_checked": crossed}
             cache.put(payload(k), recs[k])
     return {
         "q": str(args.q),
-        "s": str(args.s % args.q),
+        "s": str(s),
         "variant": args.variant,
         "terms": [r["t"] for r in recs.values()],
         "cross_checked_k": [str(k) for k, r in recs.items()

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import G2_RECIPE_LINES
 from .errors import (DegenerateInput, InvalidLambda, InvalidScalar,
-                     RecipeFormatError, RecipeNotFound)
+                     RecipeFormatError, RecipeNotFound, TooLarge)
 from .matrix import Matrix, partition_from_ranks, rational_matrix
 from .rings import QQ, prime_factors
 
@@ -332,10 +332,17 @@ def seed_tuple(seed) -> RigidTuple:
     return RigidTuple([rational_matrix([[Fraction(c)]]) for c in seed])
 
 
+# the largest rank a replayed recipe or a tuple kept by
+# ``search_g2_recipe`` may reach: the rank of the G2 triple
+MAX_RANK = 7
+
+
 def realize(recipe: Recipe) -> RigidTuple:
-    """Deterministic replay of a recipe over Q."""
+    """Deterministic replay of a recipe over Q.  A step's cost grows
+    about as the fourth power of the rank, so the first step that takes
+    the tuple past MAX_RANK raises TooLarge."""
     t = seed_tuple(recipe.seed)
-    for kind, arg in recipe.steps:
+    for i, (kind, arg) in enumerate(recipe.steps, 1):
         if kind == "twist":
             t = scalar_twist(t, [Fraction(a) for a in arg])
         elif kind == "mc":
@@ -346,6 +353,9 @@ def realize(recipe: Recipe) -> RigidTuple:
             t = swap_points(t)
         else:
             raise RecipeFormatError(f"unknown step {kind!r}")
+        if t.n > MAX_RANK:
+            raise TooLarge(f"recipe step {i} ({kind}) takes the tuple to "
+                           f"rank {t.n}, past the bound {MAX_RANK}")
         if not t.product_relation_holds():
             raise AssertionError("product relation lost during replay")
         if t.n > 1 and rigidity_index(t) != 2:
@@ -353,10 +363,9 @@ def realize(recipe: Recipe) -> RigidTuple:
     return t
 
 
-# the bounds of ``search_g2_recipe``: middle convolutions along a path,
-# the rank of a kept tuple, and the tuples visited
+# the bounds of ``search_g2_recipe`` besides MAX_RANK: middle
+# convolutions along a path, and the tuples visited
 SEARCH_MAX_MC_STEPS = 8
-SEARCH_MAX_RANK = 7
 SEARCH_MAX_NODES = 20000
 
 
@@ -439,7 +448,7 @@ def search_g2_recipe() -> Recipe:
                 conv = middle_convolution(base, lam)
             except DegenerateInput:
                 continue
-            if conv.n > SEARCH_MAX_RANK:
+            if conv.n > MAX_RANK:
                 continue
             key = (conv.n, local_profile(conv))
             if key in seen:

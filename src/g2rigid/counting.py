@@ -13,7 +13,9 @@ theorem.  Both work on the field's integer codes in [0, p^k) (see
 ``rings``), so every character table is indexed by the element itself.
 ``series_terms`` is the one loop over the terms T_k of a series, under
 ``chi_series`` and the CLI's ``count`` and ``zeta``: it sizes every term
-(``check_term``) before the first runs.
+(``check_terms``) before the first runs.  The CLI reads the cached terms,
+keyed by s mod q, in k order and calls ``check_terms`` on the first
+missing term and every later one before it reads any further record.
 """
 
 from __future__ import annotations
@@ -193,6 +195,20 @@ def check_term(q, s, k, naive_budget=DEFAULT_SERIES_NAIVE_BUDGET):
     transfer_workers(q, k, 1)
     if q ** (6 * k) <= naive_budget:
         _check_bytes("naive count", q, k, naive_bytes(q ** k))
+
+
+def check_terms(q, s, ks, naive_budget=DEFAULT_SERIES_NAIVE_BUDGET):
+    """``check_term`` for each k of ``ks`` in order, up to the first k it
+    refuses.
+
+    A loop, not one check of the largest k: a term can be refused below
+    one that is admitted (q = 131 with the budget 131^6 refuses k = 1
+    for its naive buffer and admits k = 2), and sizing term k computes
+    q^k.  Every q is refused by k = 16, so ``ks`` may be a range to any
+    bound.
+    """
+    for k in ks:
+        check_term(q, s, k, naive_budget)
 
 
 def _check_s(s):
@@ -433,14 +449,13 @@ def series_terms(q: int, s: int, ks, variant="consecutive",
     """(k, T_k, cross_checked) for each k in the sequence ``ks``, by
     ``series_term``.
 
-    Every k is refused or admitted by ``check_term`` before the first term
-    runs, so an oversized term fails at once, not after the smaller ones.
-    The terms then run one after another, so one term's arrays are live
-    at a time; the transfer's residues of each run on up to ``workers``
-    threads.
+    Every k is refused or admitted by ``check_terms`` before the first
+    term runs, so an oversized term fails at once, not after the smaller
+    ones.  The terms then run one after another, so one term's arrays
+    are live at a time; the transfer's residues of each run on up to
+    ``workers`` threads.
     """
-    for k in ks:
-        check_term(q, s, k, naive_budget)
+    check_terms(q, s, ks, naive_budget)
     for k in ks:
         yield (k, *series_term(q, s, k, variant=variant,
                                naive_budget=naive_budget,

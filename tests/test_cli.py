@@ -177,15 +177,19 @@ def test_count_bad_s_exits_nonzero(capsys, cache_dir):
     assert "NotInBase" in doc["outputs"]["error"]
 
 
-def test_failed_count_lists_every_term_key(capsys, cache_dir):
-    """Every term's record is looked up before the first is computed, so
-    the error report lists every term's key and, its cache keys included,
-    is the same on every rerun with many workers."""
+def test_failed_count_lists_the_keys_read_before_the_refusal(capsys,
+                                                              cache_dir):
+    """A term is sized at the first missing record, before any further
+    record is read, so the error report lists that one key, under s mod
+    q, and, its cache keys included, is the same on every rerun with
+    many workers."""
     argv = ["count", "--q", "3", "--s", "3", "--kmax", "4",
             "--workers", "4", "--cache-dir", cache_dir]
     docs = [_strip_duration(_run(capsys, argv)[1]) for _ in range(20)]
     assert all(d == docs[0] for d in docs)
-    assert len(docs[0]["cache_keys"]) == 4
+    assert docs[0]["cache_keys"] == [content_key(
+        {"kind": "series-term", "q": 3, "s": 0, "k": 1,
+         "variant": "consecutive", "naive_budget": 10 ** 7, "v": 1})]
     assert "NotInBase" in docs[0]["outputs"]["error"]
 
 
@@ -195,9 +199,15 @@ def test_failed_count_lists_every_term_key(capsys, cache_dir):
     (["--q", "131", "--s", "2", "--kmax", "1", "--budget", str(131 ** 6)],
      rf"TooLarge: the naive count over F_131\^1 needs about "
      rf"{2 * 131 ** 4} bytes"),
+    (["--q", "131", "--s", "2", "--kmax", "2", "--budget", str(131 ** 6)],
+     rf"TooLarge: the naive count over F_131\^1 needs about "
+     rf"{2 * 131 ** 4} bytes"),
     (["--q", "3", "--s", "3", "--kmax", "16"], r"NotInBase: "),
     (["--q", "9", "--s", "2", "--kmax", "16"], r"InvalidCharacteristic: "),
-], ids=["transfer", "naive", "bad-s", "bad-q"])
+    (["--q", "0", "--s", "2", "--kmax", "16"],
+     r"InvalidCharacteristic: need an odd prime, got 0$"),
+], ids=["transfer", "naive", "naive-below-admitted", "bad-s", "bad-q",
+        "zero-q"])
 def test_count_refuses_an_oversized_term_before_the_first(
         capsys, cache_dir, monkeypatch, argv, error):
     """Every missing term is sized before any runs, after q and s are
@@ -215,6 +225,98 @@ def test_count_refuses_an_oversized_term_before_the_first(
         assert code == 1 and doc["passed"] is False
         assert re.match(error, doc["outputs"]["error"])
         assert not os.listdir(cache_dir)
+
+
+@pytest.mark.parametrize("command", ["count", "zeta"])
+@pytest.mark.parametrize("cached", [0, 3])
+def test_a_refusal_reads_only_the_terms_up_to_the_first_miss(
+        capsys, cache_dir, monkeypatch, command, cached):
+    """With T_1..T_cached in the cache, a series of a million terms reads
+    cached + 1 records, lists their keys and is refused in the words of
+    kmax 16, the first term sized."""
+    series = ["--q", "3", "--s", "2", "--cache-dir", cache_dir]
+    if cached:
+        assert _run(capsys, ["count", "--kmax", str(cached)] + series)[0] == 0
+    expected = _run(capsys, [command, "--kmax", "16"] + series)[1]
+    reads = []  # the k of every record read
+    get = ResultCache.get
+
+    def counted(self, payload):
+        reads.append(payload["k"])
+        return get(self, payload)
+
+    monkeypatch.setattr(ResultCache, "get", counted)
+    code, doc, _ = _run(capsys, [command, "--kmax", "1000000"] + series)
+    assert code == 1
+    assert doc["outputs"] == expected["outputs"]
+    assert reads == list(range(1, cached + 2))
+    assert len(doc["cache_keys"]) == cached + 1
+
+
+def test_a_refusal_holds_the_same_memory_at_any_kmax(capsys, cache_dir):
+    """The refusal of k = 16 allocates no more at kmax 10^9 than at kmax
+    10^3 (tracemalloc peaks within 100 kB), and ends within 5 s."""
+    import signal
+    import tracemalloc
+
+    def peak(kmax):
+        tracemalloc.start()
+        try:
+            code = main(["count", "--q", "3", "--s", "2", "--kmax",
+                         str(kmax), "--cache-dir", cache_dir])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    def timeout(signum, frame):
+        raise TimeoutError("the refusal ran past 5 s")
+
+    peak(10 ** 3)  # every layer the refusal reads is executed first
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(5)
+    try:
+        code_small, small = peak(10 ** 3)
+        code_large, large = peak(10 ** 9)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code_small == code_large == 1
+    assert abs(large - small) < 100_000
+
+
+def test_series_terms_are_keyed_by_s_mod_q(capsys, cache_dir):
+    """At q = 3, --s 5 and --s -1 read the terms --s 2 wrote: every
+    record is a hit and the outputs are the same."""
+    argv = ["count", "--q", "3", "--kmax", "3", "--cache-dir", cache_dir]
+    _, first, err = _run(capsys, argv + ["--s", "2"])
+    assert err == "# cache hits: 0, misses: 3\n"
+    for s in ("5", "-1"):
+        _, doc, err = _run(capsys, argv + ["--s", s])
+        assert err == "# cache hits: 3, misses: 0\n"
+        assert doc["outputs"] == first["outputs"]
+        assert doc["cache_keys"] == first["cache_keys"]
+
+
+@pytest.mark.parametrize("argv", [["triple"], ["certify", "--ell", "7"]],
+                         ids=lambda argv: argv[0])
+def test_replay_is_refused_past_rank_7(capsys, cache_dir, tmp_path, argv):
+    """The 18-line recipe passes ranks 1, 2, 3, 4, 7, 10, ..., 58; its
+    replay is refused at the step to rank 10, and no record is written."""
+    twists = ("1 -1", "1 -1", "-1 1", "-1 1", "1 -1", "1 -1", "-1 1",
+              "1 -1")
+    lines = ["seed -1 -1", "mc -1"] + [step for tw in twists
+                                       for step in (f"twist {tw}", "mc -1")]
+    assert len(lines) == 18
+    path = tmp_path / "recipe.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, doc, _ = _run(capsys, argv + ["--recipe", str(path),
+                                        "--cache-dir", cache_dir])
+    assert code == 1 and doc["passed"] is False
+    assert doc["outputs"]["error"] == ("TooLarge: recipe step 9 (mc) takes "
+                                       "the tuple to rank 10, past the "
+                                       "bound 7")
+    assert os.listdir(cache_dir) == []
 
 
 @pytest.mark.parametrize("argv", [

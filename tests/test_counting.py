@@ -196,6 +196,18 @@ def test_chi_series_refuses_an_oversized_term_before_the_first(monkeypatch):
         counting.chi_series(3, 2, k_max=16)
 
 
+def test_check_terms_stops_at_the_first_refused_term():
+    """Sizing is a loop, not one check of the largest k: at q = 131 the
+    budget 131^6 admits a naive count at k = 1 only, whose buffer is
+    refused, while k = 2 fits.  A range to any bound ends at its first
+    refusal."""
+    counting.check_terms(131, 2, range(2, 3), naive_budget=131 ** 6)
+    with pytest.raises(TooLarge, match=r"naive count over F_131\^1 "):
+        counting.check_terms(131, 2, range(1, 3), naive_budget=131 ** 6)
+    with pytest.raises(TooLarge, match=r"transfer over F_3\^16 "):
+        counting.check_terms(3, 2, range(1, 10 ** 18))
+
+
 def test_naive_refuses_a_buffer_over_the_byte_bound(monkeypatch):
     """On F_131 the budget 131^6 admits the naive count, but its two
     131^4-byte arrays exceed TRANSFER_BYTE_BOUND; it is refused before any
