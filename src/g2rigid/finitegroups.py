@@ -212,10 +212,6 @@ def _casimir_on_adjoint(m, p):
     return (EF + FE + half * matmul_mod(H, H, p) % p) % p
 
 
-def _shift(theta, a, p):
-    return (theta - a * np.eye(theta.shape[0], dtype=np.int64)) % p
-
-
 def _eigen_split(theta, p):
     """G-stable eigenspace decomposition of the ambient space, or None.
 
@@ -223,15 +219,10 @@ def _eigen_split(theta, p):
     eigenvalue, whose dimensions sum to the full space exactly when theta
     is diagonalizable with all eigenvalues in the ground field.
     """
-    n = theta.shape[0]
-    spaces = []
-    total = 0
-    for a in singular_shifts(theta, p):
-        space = row_basis(nullspace_mod(_shift(theta, a, p), p), p)
-        spaces.append(space)
-        total += space.shape[0]
-        if total == n:
-            return spaces
+    spaces = [row_basis(nullspace_mod(shifted, p), p)
+              for _, shifted in singular_shifts(theta, p)]
+    if sum(space.shape[0] for space in spaces) == theta.shape[0]:
+        return spaces
     return None
 
 
@@ -307,8 +298,7 @@ def _composition_dims(mats, p):
     if dim == 1:
         return [1]
     for theta in _word_elements(mats, p):
-        for a in singular_shifts(theta, p):
-            shifted = _shift(theta, a, p)
+        for _, shifted in singular_shifts(theta, p):
             kernel = nullspace_mod(shifted, p)
             sub = _spin(mats, kernel[0].reshape(1, -1), p)
             if sub.shape[0] == dim and len(kernel) == 1:
@@ -490,8 +480,7 @@ def _eigen_functionals(h, p: int):
     by v, the image of b is its h-stable complement, and the projection
     is u / (u.v).
     """
-    for alpha in singular_shifts(h, p):
-        b = _shift(h, alpha, p)
+    for alpha, b in singular_shifts(h, p):
         right = nullspace_mod(b, p)
         if len(right) != 1:
             continue

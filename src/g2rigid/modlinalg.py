@@ -31,6 +31,7 @@ with ``LazyLoader``, and each is first touched on the main thread.
 from __future__ import annotations
 
 from .errors import TooLarge
+from .rings import poly_roots
 
 
 class _Numpy:
@@ -48,9 +49,6 @@ np = _Numpy()
 
 MAX_MODULUS = 2 ** 31
 _INT64_MAX = 2 ** 63 - 1
-# points per block at which ``singular_shifts`` evaluates a characteristic
-# polynomial; bounds its working memory to a few MB whatever the prime
-_SHIFT_BLOCK_ENTRIES = 2 ** 18
 
 
 def _check_modulus(p):
@@ -118,25 +116,20 @@ def rank_mod(rows, p) -> int:
 
 
 def nullspace_mod(rows, p):
-    """Basis of the right kernel, as a list of numpy int64 vectors."""
+    """Basis of the right kernel, as the rows of an int64 array: per free
+    column, 1 there and minus that column of the echelon form at pivots."""
     a, pivots = rref_mod(rows, p)
-    n = a.shape[1]
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = np.zeros(n, dtype=np.int64)
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-a[r, fc]) % p
-        basis.append(v)
+    taken = set(pivots)
+    free = [c for c in range(a.shape[1]) if c not in taken]
+    basis = np.zeros((len(free), a.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = -a[:len(pivots), free].T % p
     return basis
 
 
 def annihilator(rows, p):
     """Reduced echelon basis of the right kernel of ``rows``, as rows."""
-    null = nullspace_mod(rows, p)
-    return row_basis(np.array(null).reshape(len(null), rows.shape[1]), p)
+    return row_basis(nullspace_mod(rows, p), p)
 
 
 def inv_mod(a, p):
@@ -270,20 +263,9 @@ def charpoly_mod(a, p):
 
 
 def singular_shifts(theta, p):
-    """The a in F_p, ascending, at which theta - a I is singular: the
-    roots of ``charpoly_mod(theta, p)``.
-
-    The polynomial is evaluated by Horner's rule at every a in F_p, in
-    blocks of ``_SHIFT_BLOCK_ENTRIES`` points, so the time grows linearly
-    with p: a cold ``hmodule`` takes 0.7 s at p = 100003, 2.9 s at
-    1000133 and 19 s at 10000019 (2-CPU machine), and would take about
-    an hour near 2^31, although its results there are still exact.
-    """
-    coeffs = [int(c) for c in charpoly_mod(theta, p)[::-1]]
-    for start in range(0, p, _SHIFT_BLOCK_ENTRIES):
-        points = np.arange(start, min(p, start + _SHIFT_BLOCK_ENTRIES),
-                           dtype=np.int64)
-        value = np.zeros_like(points)
-        for c in coeffs:
-            value = (value * points + c) % p
-        yield from (int(a) for a in points[value == 0])
+    """(a, theta - a I mod p) for the a in F_p, ascending, at which it is
+    singular: the roots of ``charpoly_mod(theta, p)``, by ``poly_roots`` in
+    O(n^2 log p) field operations, so p near 2^31 costs little more."""
+    eye = np.eye(theta.shape[0], dtype=np.int64)
+    for a in poly_roots(tuple(charpoly_mod(theta, p).tolist()), p):
+        yield a, (theta - a * eye) % p

@@ -92,8 +92,8 @@ QQ = Rationals()
 
 # ---------------------------------------------------------------------------
 # polynomials over F_p: little-endian coefficient tuples, used to find and
-# test extension field moduli and to multiply in F_{p^k} (characteristic
-# polynomials of matrices are modlinalg.charpoly_mod)
+# test extension field moduli, to multiply in F_{p^k} and to find the
+# eigenvalues in F_p of a matrix, the roots of modlinalg.charpoly_mod
 
 def poly_trim(c):
     c = list(c)
@@ -108,25 +108,23 @@ def poly_mul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj  # exact ints, reduced once at the end
+    return poly_trim([c % p for c in out])
 
 
 def poly_mod(a, b, p):
     """Remainder of a on division by b over F_p."""
-    a = list(poly_trim(a))
+    a = list(a)
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coef = (a[-1] * inv_lead) % p
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bi) % p
-        a = list(poly_trim(a))
-    return tuple(a)
+    for top in range(len(a) - 1, len(b) - 2, -1):  # clear a[top]
+        coef = a[top] * inv_lead % p
+        for i, bi in enumerate(b, top - len(b) + 1):
+            a[i] -= coef * bi
+    return poly_trim([c % p for c in a[:len(b) - 1]])
 
 
 def poly_gcd(a, b, p):
@@ -137,6 +135,13 @@ def poly_gcd(a, b, p):
         inv_lead = pow(a[-1], p - 2, p)
         a = tuple((c * inv_lead) % p for c in a)
     return a
+
+
+def _frobenius_gcd(f, xq, p):
+    """gcd(f, x^q - x) over F_p, from xq = x^q mod f."""
+    diff = list(xq) + [0, 0]
+    diff[1] = (diff[1] - 1) % p
+    return poly_gcd(f, diff, p)
 
 
 def poly_powmod(a, e, f, p):
@@ -166,11 +171,35 @@ def is_irreducible(f, p: int) -> bool:
         return False
     for r in range(2, k + 1):
         if k % r == 0 and is_prime(r):
-            diff = list(frobenius[k // r]) + [0, 0]  # x^(p^(k/r)) - x
-            diff[1] = (diff[1] - 1) % p
-            if len(poly_gcd(diff, f, p)) != 1:
+            if len(_frobenius_gcd(f, frobenius[k // r], p)) != 1:
                 return False
     return True
+
+
+def poly_roots(f, p: int) -> list:
+    """The distinct roots in F_p of a nonzero f over F_p, ascending.
+
+    g = gcd(f, x^p - x) is their product, split as Cantor and Zassenhaus
+    do (Math. Comp. 36, 1981): a factor h of degree >= 2 splits into its
+    gcds with t, t - 1 and t + 1 for t = (x + c)^((p - 1)/2) mod h, which
+    part x + c, if -c is a root, and the other roots r by the quadratic
+    character of r + c; each piece goes on with c + 1.  c = -r splits r
+    off, so c stays below p, and c starts at 0, not at random, so the work
+    is reproducible: O(deg(f)^2 log p) field operations for the usual few
+    c.  At p = 2 the exponent is 0, and g is read off directly."""
+    g = _frobenius_gcd(f, poly_powmod((0, 1), p, f, p), p)
+    if p == 2:
+        return [r for r in (0, 1) if not poly_mod(g, (r, 1), p)]
+    roots, pending = [], [(g, 0)]
+    while pending:
+        h, c = pending.pop()
+        if len(h) == 2:
+            roots.append(-h[0] % p)
+        elif len(h) > 2:
+            t = poly_powmod((c, 1), (p - 1) // 2, h, p)
+            pending += [(poly_gcd(h, ((t[0] - s) % p,) + t[1:], p), c + 1)
+                        for s in (0, 1, -1)]
+    return sorted(roots)
 
 
 def smallest_irreducible(p: int, k: int, skip: int = 0) -> tuple:

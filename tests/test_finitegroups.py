@@ -340,11 +340,15 @@ def test_uncovered_part_of_a_component_with_several_summands(gens,
 
 
 def test_large_primes_give_the_small_prime_reports():
-    """The module certificates at ell' = 100003 and ell = 10007 give the
-    constituents, H^0/H^1, verdict and failure lines of ell' = 29 and
-    ell = 17.  Eigenvalues cost O(p n) evaluations here, under a second
-    for both; an elimination per shift, O(p n^3), took over two minutes
-    at 100003 on a 2-CPU machine."""
+    """The module certificates at ell' = 100003 and 2^31 - 1 and at
+    ell = 10007 and 2^31 - 1 give the constituents, H^0/H^1, verdict and
+    failure lines of ell' = 29 and 43 and of ell = 17.  Components are
+    numbered by ascending eigenvalue mod ell', so the trivial summand
+    is component 1 at 29 and 100003 and component 0 at 43 and 2^31 - 1.
+    Eigenvalues are the roots of a characteristic polynomial, found in
+    O(n^2 log p) field operations: about a second for all of these on a
+    2-CPU machine, where evaluating it at every point of F_p would take
+    about an hour at 2^31 - 1."""
     def hmodule(ellprime):
         group = build_h56(ellprime)
         classes = conjugacy_classes(group)
@@ -354,8 +358,10 @@ def test_large_primes_give_the_small_prime_reports():
                 big.failures)
 
     assert hmodule(100003) == hmodule(29)
-    assert adjoint_decomposition(sym_power_rep(10007, 6)).pairs == \
-        adjoint_decomposition(sym_power_rep(17, 6)).pairs
+    assert hmodule(2 ** 31 - 1) == hmodule(43)
+    for ell in (10007, 2 ** 31 - 1):
+        assert adjoint_decomposition(sym_power_rep(ell, 6)).pairs == \
+            adjoint_decomposition(sym_power_rep(17, 6)).pairs
 
 
 def _corner_functionals_by_definition(h, p):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2rigid.errors import TooLarge
-from g2rigid import modlinalg
 from g2rigid.finitegroups import adjoint_action, build_h56, conjugacy_classes
 from g2rigid.modlinalg import (MAX_MODULUS, annihilator, charpoly_mod,
                                extend_basis, matmul_mod, nullspace_mod,
@@ -42,20 +41,29 @@ def test_matmul_mod_refuses_modulus_from_2_31():
 def _brute_singular(theta, p):
     eye = np.eye(theta.shape[0], dtype=np.int64)
     return [a for a in range(p)
-            if nullspace_mod((theta - a * eye) % p, p)]
+            if len(nullspace_mod((theta - a * eye) % p, p))]
 
 
-@pytest.mark.parametrize("p,d", [(7, 1), (11, 4), (29, 7), (13, 9)])
-def test_singular_shifts_match_per_shift_nullspaces(monkeypatch, p, d):
+def _shifts(theta, p):
+    """The a of ``singular_shifts(theta, p)``, each checked to come with
+    theta - a I mod p."""
+    eye = np.eye(theta.shape[0], dtype=np.int64)
+    out = []
+    for a, shifted in singular_shifts(theta, p):
+        assert shifted.tolist() == ((theta - a * eye) % p).tolist()
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("p,d", [(7, 1), (11, 4), (29, 7), (13, 9), (2, 5),
+                                 (3, 6)])
+def test_singular_shifts_match_per_shift_nullspaces(p, d):
     rng = np.random.default_rng(p * d)
     for trial in range(4):
         theta = rng.integers(0, p, (d, d), dtype=np.int64)
         if trial == 0:  # a repeated eigenvalue and a non-split part
             theta[:, 0] = 0
-        assert list(singular_shifts(theta, p)) == _brute_singular(theta, p)
-    # shifts tested in several small blocks give the same answer
-    monkeypatch.setattr(modlinalg, "_SHIFT_BLOCK_ENTRIES", 2 * d * d)
-    assert list(singular_shifts(theta, p)) == _brute_singular(theta, p)
+        assert _shifts(theta, p) == _brute_singular(theta, p)
 
 
 def _det_mod(a, p):
@@ -116,7 +124,7 @@ def test_charpoly_is_the_characteristic_polynomial(case):
     p, a = case
     _check_charpoly(a, p)
     if p < 2 ** 31 - 1:  # the brute force scans every shift
-        assert list(singular_shifts(a, p)) == _brute_singular(a, p)
+        assert _shifts(a, p) == _brute_singular(a, p)
 
 
 def test_charpoly_of_an_h56_class_sum_combination():
@@ -129,7 +137,7 @@ def test_charpoly_of_an_h56_class_sum_combination():
            for cls in conjugacy_classes(group)]
     theta = sum(pow(2, i + 1, p) * op for i, op in enumerate(ops)) % p
     _check_charpoly(theta, p)
-    assert list(singular_shifts(theta, p)) == _brute_singular(theta, p)
+    assert _shifts(theta, p) == _brute_singular(theta, p)
 
 
 def test_extend_basis_keeps_reduced_echelon_form():

@@ -1,14 +1,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from g2rigid import counting
 from g2rigid.errors import InvalidCharacteristic, TooLarge
 from g2rigid.rings import (MILLER_RABIN_BOUND, TRIAL_DIVISION_BOUND,
                            FiniteField, ext_field, is_irreducible, is_prime,
-                           poly_gcd, poly_mod, poly_mul, poly_trim,
-                           prime_factors, smallest_irreducible)
+                           poly_gcd, poly_mod, poly_mul, poly_roots,
+                           poly_trim, prime_factors, smallest_irreducible)
 
 
 def _trial_division_irreducible(f, p):
@@ -205,6 +205,67 @@ def test_poly_gcd_divides_both(a, b):
     for f in (a, b):
         assert not poly_mod(poly_trim(list(f)), g, 3)
     assert poly_mul(a, b, 3)  # product of nonzero polys is nonzero
+
+
+def _roots_by_evaluation(f, p):
+    """Reference: the r in F_p with f(r) = 0."""
+    return [r for r in range(p)
+            if sum(c * pow(r, i, p) for i, c in enumerate(f)) % p == 0]
+
+
+def _product_of_linear_factors(roots, p):
+    """The product of x - r over ``roots``, repeats kept."""
+    f = (1,)
+    for r in roots:
+        f = poly_mul(f, (-r % p, 1), p)
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 29])
+def test_poly_roots_are_the_roots_by_evaluation(p):
+    """Distinct, repeated and zero roots, an irreducible quadratic with
+    none, alone and times linear factors, and constants."""
+    quadratic = smallest_irreducible(p, 2)
+    cases = {
+        "distinct": [1, p - 1, 3 % p, 7 % p, 11 % p],
+        "repeated": [1, 1, p - 1, 3 % p, 3 % p, 3 % p],
+        "zero": [0, 0, 1, 5 % p],
+    }
+    for roots in cases.values():
+        f = _product_of_linear_factors(roots, p)
+        assert poly_roots(f, p) == _roots_by_evaluation(f, p) == \
+            sorted(set(roots))
+        g = poly_mul(f, quadratic, p)
+        assert poly_roots(g, p) == _roots_by_evaluation(g, p) == \
+            sorted(set(roots))
+    assert poly_roots(quadratic, p) == _roots_by_evaluation(quadratic, p) \
+        == []
+    for constant in {(1,), (p - 1,)}:
+        assert poly_roots(constant, p) == []
+    every_point = _product_of_linear_factors(range(p), p)
+    assert poly_roots(every_point, p) == list(range(p))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 5, 29]),
+       st.lists(st.integers(0, 28), min_size=1, max_size=9))
+def test_poly_roots_of_any_polynomial(p, coeffs):
+    f = poly_trim([c % p for c in coeffs])
+    if f:
+        assert poly_roots(f, p) == _roots_by_evaluation(f, p)
+
+
+def test_poly_roots_near_2_31():
+    """At p = 2^31 - 1 the chosen roots, 0 and p - 1 among them, come back
+    ascending, repeats once, past an irreducible quadratic factor (x^2 + 1,
+    since p = 3 mod 4); no scan of F_p could check this."""
+    p = 2 ** 31 - 1
+    roots = [0, 1, 2, 65537, p // 2, p - 2, p - 1]
+    f = _product_of_linear_factors(roots + [0, p - 1, 65537], p)
+    assert poly_roots(f, p) == roots
+    assert is_irreducible((1, 0, 1), p)
+    assert poly_roots(poly_mul(f, (1, 0, 1), p), p) == roots
+    assert poly_roots((1, 0, 1), p) == []
 
 
 def test_ext_field_rejects_reducible_modulus():

@@ -366,6 +366,38 @@ def test_module_run_is_the_in_process_run(capsys, tmp_path, argv, code):
     assert gc.get_freeze_count() == 0
 
 
+@pytest.mark.parametrize("argv", [["hmodule", "--ellprime", "2147483647"],
+                                  ["sl2", "--ell", "2147483647",
+                                   "--power", "12"]],
+                         ids=lambda argv: argv[0])
+def test_the_largest_admitted_prime_takes_seconds(capsys, tmp_path, argv):
+    """At ell = 2^31 - 1, the largest prime the F_p layer admits, a fresh
+    process on an empty cache reports within 20 s (about 0.6 s for
+    hmodule and 1.3 s for sl2 on a 2-CPU machine), which no step linear in
+    ell would.  hmodule fails as at ell' = 43, where the trivial summand
+    is component 0 as well: the same constituents, H^0/H^1 and failure
+    lines.  sl2 passes with the Clebsch-Gordan constituents of
+    Sym^12 (x) Sym^12, dimensions 1, 3, ..., 25 once each."""
+    fresh = subprocess.run(
+        [sys.executable, "-m", "g2rigid.cli", *argv,
+         "--cache-dir", str(tmp_path / "fresh")],
+        env=_env(), capture_output=True, text=True, timeout=20)
+    outputs = json.loads(fresh.stdout)["outputs"]
+    if argv[0] == "hmodule":
+        assert fresh.returncode == 1
+        assert main(["hmodule", "--ellprime", "43", "--cache-dir",
+                     str(tmp_path / "small")]) == 1
+        small = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs.pop("ellprime") == "2147483647"
+        small.pop("ellprime")
+        assert outputs == small
+    else:
+        assert fresh.returncode == 0
+        assert outputs["decomposition"] == {
+            "constituents": [[str(2 * j + 1), "1"] for j in range(13)],
+            "module_dimension": "169"}
+
+
 def test_in_process_main_freezes_nothing(capsys, tmp_path):
     main(["sl2", "--ell", "11", "--power", "2",
           "--cache-dir", str(tmp_path)])
