@@ -17,10 +17,6 @@ class BadResidue(InputError, ValueError):
     """A prime fails a required congruence condition."""
 
 
-class BadCharacteristic(InputError, ValueError):
-    """The characteristic is unusable for the requested construction."""
-
-
 class TooLarge(InputError, RuntimeError):
     """An enumeration or materialization exceeds its budget."""
 

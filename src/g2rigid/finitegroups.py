@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb
 
-from .errors import (BadCharacteristic, BadResidue, NegativePower,
-                     NotOrdinary, TooLarge, TooSmallPrime)
+from .errors import (BadResidue, NegativePower, NotOrdinary, TooLarge,
+                     TooSmallPrime)
 from .modlinalg import (annihilator, enveloping_dim, extend_basis,
                         in_rowspace, inv_mod, matmul_mod, mod_array, np,
                         nullspace_mod, pivot_columns, rank_mod, row_basis,
                         singular_shifts, span_closure)
-from .rings import is_prime
+from .rings import is_prime, require_odd_prime
 
 ORDER_BOUND = 100000  # materialize refuses a larger group
 SL2_BYTE_BOUND = 2 ** 29  # sym_power_rep refuses a larger modelled peak
@@ -143,16 +143,16 @@ class Sl2SymRep:
 
 def sl2_bytes(m):
     """The modelled peak RSS of the adjoint decomposition of Sym^m: 32 MB
-    for the interpreter and numpy, and 96 (m + 1)^4, the bytes of twelve
-    dense (m + 1)^2 x (m + 1)^2 int64 operators on the adjoint module
-    (the measured growth is that of about 10.6).
+    for the interpreter and numpy, and 96 (m + 1)^4 bytes, twelve dense
+    int64 operators on the (m + 1)^2-dimensional adjoint module, where the
+    decomposition holds about eight at its peak: the Casimir, its three
+    multiples, the two adjoint generators and their temporaries.
 
-    Fitted to the peak RSS (ru_maxrss) of fresh ``adjoint_decomposition(
-    sym_power_rep(ell, m))`` processes on a 2-CPU machine, as (ell, m,
-    MiB): (17, 6, 28.3), (23, 10, 29.2), (31, 14, 32.7), (43, 20, 43.8),
-    (53, 24, 59.1); the model lies 2.4-7.2 MiB above each.  So m <= 46
-    runs and m >= 47 is refused.
-    """
+    It lies 2.0-137 MiB above the peak RSS (ru_maxrss) of fresh
+    ``adjoint_decomposition(sym_power_rep(ell, m))`` processes on a 2-CPU
+    machine, as (ell, m, MiB): (17, 6, 28.7), (23, 10, 29.5), (31, 14,
+    32.3), (43, 20, 41.7), (53, 24, 54.3), (67, 32, 105.0) and (97, 46,
+    339.8).  So m <= 46 runs and m >= 47 is refused."""
     return 32 * 10 ** 6 + 96 * (m + 1) ** 4
 
 
@@ -167,8 +167,7 @@ def sym_power_rep(ell: int, m: int) -> Sl2SymRep:
     """
     if m < 0:
         raise NegativePower(f"need a power m >= 0, got {m}")
-    if not is_prime(ell) or ell == 2:
-        raise BadCharacteristic(f"need an odd prime, got {ell}")
+    require_odd_prime(ell)
     if ell <= 2 * m + 1:
         raise TooSmallPrime(f"need ell > {2 * m + 1}, got {ell}")
     need = sl2_bytes(m)
@@ -192,38 +191,39 @@ def adjoint_action(g, p):
 
 
 def _casimir_on_adjoint(m, p):
-    """EF + FE + H^2/2 on the conjugation module of Sym^m.
+    """EF + FE + H^2/2 on the conjugation module of Sym^m, in closed form.
 
     The generators of ``sym_power_rep`` are exp(e) and exp(f) for
     e = x d/dy, e[i - 1, i] = i, and f = y d/dx, f[i + 1, i] = m - i, on
-    the basis x^(m-i) y^i.  Ad(exp L) = exp(ad L), and ad L is
-    kron(L, I) - kron(I, L^T) on row-flattened matrices; ad L is
-    nilpotent of order 2m + 1, so this holds mod p for p > 2m, which
-    ``sym_power_rep`` requires.
-    """
+    the basis x^(m-i) y^i; Ad(exp L) = exp(ad L) mod p for p > 2m, as ad L
+    = kron(L, I) - kron(I, L^T) is nilpotent of order 2m + 1.  Expanded,
+    EF + FE + H^2/2 = kron(c, I) + kron(I, c^T) - 2 kron(e, f^T)
+    - 2 kron(f, e^T) - kron(h, h), for h = ef - fe = diag(m - 2i) and the
+    scalar c = ef + fe + h^2/2 = m(m + 2)/2 on Sym^m: no product, no 1/2."""
     e = np.diag(np.arange(1, m + 1, dtype=np.int64), 1)
     f = np.diag(np.arange(m, 0, -1, dtype=np.int64), -1)
-    eye = np.eye(m + 1, dtype=np.int64)
-    E, Fo = ((np.kron(L, eye) - np.kron(eye, L.T)) % p for L in (e, f))
-    EF = matmul_mod(E, Fo, p)
-    FE = matmul_mod(Fo, E, p)
-    H = (EF - FE) % p
-    half = pow(2, p - 2, p)
-    return (EF + FE + half * matmul_mod(H, H, p) % p) % p
+    h = np.diag(np.arange(m, -m - 1, -2, dtype=np.int64))
+    return (m * (m + 2) * np.eye((m + 1) ** 2, dtype=np.int64)
+            - 2 * np.kron(e, f.T) - 2 * np.kron(f, e.T) - np.kron(h, h)) % p
 
 
-def _eigen_split(theta, p):
-    """G-stable eigenspace decomposition of the ambient space, or None.
-
-    Returns row bases (reduced echelon) of the eigenspaces, by ascending
-    eigenvalue, whose dimensions sum to the full space exactly when theta
-    is diagonalizable with all eigenvalues in the ground field.
+def _eigen_split(theta, blocks, p):
+    """G-stable eigenspaces of theta: row bases (reduced echelon), by
+    ascending eigenvalue, or None unless their dimensions fill the space,
+    i.e. theta is diagonalizable over the ground field.  theta is block
+    diagonal on the index arrays ``blocks``, so each eigenspace is the sum
+    of the blocks' kernels.
     """
-    spaces = [row_basis(nullspace_mod(shifted, p), p)
-              for _, shifted in singular_shifts(theta, p)]
-    if sum(space.shape[0] for space in spaces) == theta.shape[0]:
-        return spaces
-    return None
+    kernels = {}
+    for block in blocks:
+        for a, shifted in singular_shifts(theta[np.ix_(block, block)], p):
+            kernel = nullspace_mod(shifted, p)
+            rows = np.zeros((len(kernel), len(theta)), dtype=np.int64)
+            rows[:, block] = kernel
+            kernels.setdefault(a, []).append(rows)
+    spaces = [row_basis(np.concatenate(kernels[a]), p)
+              for a in sorted(kernels)]
+    return spaces if sum(map(len, spaces)) == len(theta) else None
 
 
 def _restrict(mats, basis, p):
@@ -346,6 +346,9 @@ def adjoint_decomposition(rep, classes=None) -> DecompositionReport:
     if isinstance(rep, Sl2SymRep):
         p, gens = rep.p, rep.generators
         ops = [_casimir_on_adjoint(rep.m, p)]
+        # the Casimir commutes with ad h: it keeps each weight b - a of E_ab
+        units = np.arange((rep.m + 1) ** 2).reshape(rep.m + 1, -1)
+        blocks = [np.diagonal(units, w) for w in range(-rep.m, rep.m + 1)]
     elif isinstance(rep, FiniteMatrixGroup):
         p, gens, elements = rep.p, rep.generators, rep.materialize()
         if len(elements) % p == 0:
@@ -355,6 +358,7 @@ def adjoint_decomposition(rep, classes=None) -> DecompositionReport:
             classes = conjugacy_classes(rep)
         ops = [sum(adjoint_action(elements[i], p) for i in cls) % p
                for cls in classes]
+        blocks = [np.arange(ops[0].shape[0])]
     else:
         raise TypeError("expected a matrix group or symmetric-power rep")
 
@@ -367,7 +371,7 @@ def adjoint_decomposition(rep, classes=None) -> DecompositionReport:
     combos.extend(ops)
     split = None
     for theta in combos:
-        spaces = _eigen_split(theta, p)
+        spaces = _eigen_split(theta, blocks, p)
         if spaces is not None and (split is None or len(spaces) > len(split)):
             split = spaces
             if len(split) > 1:

@@ -539,6 +539,14 @@ def test_count_composite_base_is_an_input_error(capsys, cache_dir):
         "InvalidCharacteristic: need an odd prime, got 9"
 
 
+def test_sl2_composite_characteristic_is_an_input_error(capsys, cache_dir):
+    code, doc, _ = _run(capsys, ["sl2", "--ell", "9", "--power", "2",
+                                 "--cache-dir", cache_dir])
+    assert code == 1
+    assert doc["outputs"]["error"] == \
+        "InvalidCharacteristic: need an odd prime, got 9"
+
+
 def test_env_var_cache_dir(capsys, monkeypatch, tmp_path):
     env_dir = tmp_path / "envcache"
     monkeypatch.setenv(CACHE_ENV_VAR, str(env_dir))

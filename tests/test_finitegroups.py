@@ -3,8 +3,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from g2rigid import finitegroups, modlinalg
-from g2rigid.errors import (BadCharacteristic, BadResidue, NegativePower,
-                            NotOrdinary, TooLarge, TooSmallPrime)
+from g2rigid.errors import (BadResidue, InvalidCharacteristic,
+                            NegativePower, NotOrdinary, TooLarge,
+                            TooSmallPrime)
 from g2rigid.finitegroups import (FiniteMatrixGroup, adjoint_action,
                                   adjoint_decomposition, bigness_check,
                                   build_h56, conjugacy_classes,
@@ -194,6 +195,33 @@ def test_casimir_equals_the_adjoint_series_construction(ell, m):
     assert np.array_equal(finitegroups._casimir_on_adjoint(m, ell), want)
 
 
+def test_casimir_is_built_without_a_matrix_product(monkeypatch):
+    """The closed form multiplies no operators, and the Casimir kills the
+    identity matrix, which spans the trivial summand."""
+    def refuse(*args):
+        raise AssertionError("matmul_mod called")
+
+    monkeypatch.setattr(finitegroups, "matmul_mod", refuse)
+    C = finitegroups._casimir_on_adjoint(10, 23)
+    assert not (C @ np.eye(11, dtype=np.int64).reshape(-1) % 23).any()
+
+
+@pytest.mark.parametrize("ell,m", [(17, 6), (23, 10), (5, 1), (3, 0)])
+def test_weight_block_split_is_the_dense_split(ell, m):
+    """The Casimir is zero off the blocks of matrix units E_ab of one
+    weight b - a, and its split on those blocks is the row basis of the
+    dense kernel of C - a I for each eigenvalue a, in the same order."""
+    C = finitegroups._casimir_on_adjoint(m, ell)
+    a, b = np.divmod(np.arange((m + 1) ** 2), m + 1)
+    assert not C[np.not_equal.outer(b - a, b - a)].any()
+    blocks = [np.flatnonzero(b - a == w) for w in range(-m, m + 1)]
+    dense = [modlinalg.row_basis(modlinalg.nullspace_mod(shifted, ell), ell)
+             for _, shifted in modlinalg.singular_shifts(C, ell)]
+    split = finitegroups._eigen_split(C, blocks, ell)
+    assert len(split) == len(dense) == m + 1
+    assert all(np.array_equal(x, y) for x, y in zip(split, dense))
+
+
 def _f8_mul(a, b):
     """Product in F_8 = F_2[z] / (z^3 + z + 1), elements as 3-bit codes."""
     acc = 0
@@ -246,7 +274,7 @@ def test_sym_power_generators_substitute_binary_forms(ell, m):
 def test_sl2_rejects_small_characteristic():
     with pytest.raises(TooSmallPrime):
         sym_power_rep(13, 6)  # needs ell > 2m + 1 headroom for splitting
-    with pytest.raises(BadCharacteristic):
+    with pytest.raises(InvalidCharacteristic):
         sym_power_rep(4, 2)
 
 
@@ -436,7 +464,8 @@ def test_module_certificates_stay_within_their_elimination_work(
     pairs of the corner functionals and the dual strengthening need (3693
     and 915 with per-shift eliminations, Burnside's test at every leaf,
     a matrix power and inverse per functional and a strengthening loop per
-    candidate).  The counts are exact, so this guards the work without
+    candidate; Sym^6 took 537 before its eigenspaces were split on the
+    weight blocks).  The counts are exact, so this guards the work without
     timing noise."""
     group = build_h56(29)
     classes = conjugacy_classes(group)
@@ -446,7 +475,7 @@ def test_module_certificates_stay_within_their_elimination_work(
     assert pivots[0] <= 1915
     pivots[0] = 0
     adjoint_decomposition(sym_power_rep(17, 6))
-    assert pivots[0] <= 551
+    assert pivots[0] <= 425
 
 
 @st.composite

@@ -398,6 +398,21 @@ def test_the_largest_admitted_prime_takes_seconds(capsys, tmp_path, argv):
             "module_dimension": "169"}
 
 
+def test_a_large_power_takes_seconds(tmp_path):
+    """sl2 at m = 24 splits the 625-dimensional module on its 49 weight
+    blocks: a fresh process on an empty cache reports within 20 s (about
+    1 s on a 2-CPU machine, against 35 s for the dense eigenspaces), with
+    the Clebsch-Gordan constituents 1, 3, ..., 49 once each."""
+    fresh = subprocess.run(
+        [sys.executable, "-m", "g2rigid.cli", "sl2", "--ell", "53",
+         "--power", "24", "--cache-dir", str(tmp_path)],
+        env=_env(), capture_output=True, text=True, timeout=20)
+    assert fresh.returncode == 0
+    assert json.loads(fresh.stdout)["outputs"]["decomposition"] == {
+        "constituents": [[str(2 * j + 1), "1"] for j in range(25)],
+        "module_dimension": "625"}
+
+
 def test_in_process_main_freezes_nothing(capsys, tmp_path):
     main(["sl2", "--ell", "11", "--power", "2",
           "--cache-dir", str(tmp_path)])
